@@ -68,6 +68,19 @@ type Config[T any] struct {
 	// fresh individual is rejected as a duplicate and redrawn.
 	Key func(ind T) uint64
 
+	// Release, if non-nil, is handed each individual that Run has provably
+	// finished with, so the caller can recycle its storage (the robust
+	// scheduler returns dead chromosomes to a free list its operators
+	// clone into). An individual is dead once a generation step is complete
+	// when it was in the old population or was bred during the step (a
+	// crossover child then mutated, or the newborn elitism displaced), is
+	// not in the new population and is not the run's best; each is released
+	// once. Run compares individuals by identity (any(a) == any(b)), so T
+	// must be comparable — a pointer type in practice — when Release is
+	// set. A multi-island RunIslands never releases: migrants are shared
+	// between islands by pointer, so no island can prove one dead.
+	Release func(ind T)
+
 	// Seeds are injected into the initial population before random filling
 	// (the paper seeds one HEFT chromosome).
 	Seeds []T
@@ -76,7 +89,9 @@ type Config[T any] struct {
 	// the generation index (0 = initial population), the population and its
 	// fitness values. Both slices are engine-owned arenas reused across
 	// generations — observers that retain them past the callback must copy.
-	// Used by the Fig. 2/3 evolution-trace experiments.
+	// With Release set, the individuals themselves are recycled once dead,
+	// so an observer must copy what it keeps out of them too. Used by the
+	// Fig. 2/3 evolution-trace experiments.
 	OnGeneration func(gen int, pop []T, fit []float64)
 
 	// Observer, if non-nil, receives per-generation telemetry (GenStats):
@@ -145,6 +160,7 @@ type genArena[T any] struct {
 	spare []T
 	fit   []float64
 	perm  []int
+	born  []T // the step's operator products, tracked only for Release
 }
 
 func newArena[T any](np int) *genArena[T] {
@@ -180,7 +196,8 @@ func (c Config[T]) evalInto(pop []T, fit []float64) ([]float64, error) {
 func (c Config[T]) advance(pop []T, fit []float64, elite T, ar *genArena[T], r *rng.Source) ([]T, []float64, opCounts, error) {
 	c.tournamentInto(ar.inter, pop, fit, ar.perm, r)
 	next := ar.spare
-	oc := c.recombineInto(next, ar.inter, r)
+	var oc opCounts
+	oc, ar.born = c.recombineInto(next, ar.inter, ar.born[:0], r)
 	nextFit, err := c.evalInto(next, ar.fit)
 	if err != nil {
 		return nil, nil, oc, err
@@ -230,6 +247,7 @@ func Run[T any](c Config[T], r *rng.Source) (Result[T], error) {
 	gen := 0
 	for gen = 1; gen <= c.MaxGenerations; gen++ {
 		var oc opCounts
+		old := pop // advance parks this slice in ar.spare; it stays intact until the next step
 		pop, fit, oc, err = c.advance(pop, fit, best, ar, r)
 		if err != nil {
 			return zero, err
@@ -251,11 +269,43 @@ func Run[T any](c Config[T], r *rng.Source) (Result[T], error) {
 			best, bestFit = pop[bestIdx], fit[bestIdx]
 			sinceImprove++
 		}
+		if c.Release != nil {
+			c.releaseDead(old, ar.born, pop, best)
+		}
 		if c.Stagnation > 0 && sinceImprove >= c.Stagnation {
 			return Result[T]{Best: best, BestFitness: bestFit, Generations: gen, Stagnated: true}, nil
 		}
 	}
 	return Result[T]{Best: best, BestFitness: bestFit, Generations: c.MaxGenerations}, nil
+}
+
+// releaseDead hands every individual of old and born that is in neither
+// pop nor best to the Release hook, once per distinct individual
+// (selection aliases the same individual into several slots, and a no-op
+// operator may return its input). The quadratic scans are over O(Np)
+// entries and allocate nothing.
+func (c Config[T]) releaseDead(old, born, pop []T, best T) {
+	for i, ind := range old {
+		if any(ind) == any(best) || contains(pop, ind) || contains(old[:i], ind) {
+			continue
+		}
+		c.Release(ind)
+	}
+	for i, ind := range born {
+		if any(ind) == any(best) || contains(pop, ind) || contains(old, ind) || contains(born[:i], ind) {
+			continue
+		}
+		c.Release(ind)
+	}
+}
+
+func contains[T any](xs []T, x T) bool {
+	for _, y := range xs {
+		if any(y) == any(x) {
+			return true
+		}
+	}
+	return false
 }
 
 // initialPopulation seeds, then fills with unique random individuals
@@ -353,30 +403,39 @@ func (c Config[T]) tournament(pop []T, fit []float64, r *rng.Source) []T {
 // shuffled) and mutation with probability pm per individual, writing the
 // offspring into dst (len(inter), disjoint from inter). The returned
 // operator counts feed the Observer; tallying them costs no allocation.
-func (c Config[T]) recombineInto(dst, inter []T, r *rng.Source) opCounts {
+// With a Release hook every operator product is also appended to born,
+// which is returned.
+func (c Config[T]) recombineInto(dst, inter, born []T, r *rng.Source) (opCounts, []T) {
 	np := len(inter)
 	var oc opCounts
+	track := c.Release != nil
 	copy(dst, inter)
 	for i := 0; i+1 < np; i += 2 {
 		if r.Float64() < c.CrossoverRate {
 			dst[i], dst[i+1] = c.Crossover(inter[i], inter[i+1], r)
 			oc.crossovers++
+			if track {
+				born = append(born, dst[i], dst[i+1])
+			}
 		}
 	}
 	for i := range dst {
 		if r.Float64() < c.MutationRate {
 			dst[i] = c.Mutate(dst[i], r)
 			oc.mutations++
+			if track {
+				born = append(born, dst[i])
+			}
 		}
 	}
-	return oc
+	return oc, born
 }
 
 // recombine is the allocating form of recombineInto, kept for tests and
 // one-off callers.
 func (c Config[T]) recombine(inter []T, r *rng.Source) []T {
 	next := make([]T, len(inter))
-	c.recombineInto(next, inter, r)
+	c.recombineInto(next, inter, nil, r)
 	return next
 }
 

@@ -410,3 +410,77 @@ func bitCount(v int) int {
 	}
 	return n
 }
+
+// cell is a pointer-identity individual whose dead flag lets the tests see
+// any use of an individual after Release handed it back.
+type cell struct {
+	v    int
+	dead bool
+}
+
+func cellConfig(t *testing.T) Config[*cell] {
+	live := func(c *cell) *cell {
+		if c.dead {
+			t.Fatal("engine used an individual after releasing it")
+		}
+		return c
+	}
+	return Config[*cell]{
+		PopSize: 12, CrossoverRate: 0.9, MutationRate: 0.3,
+		MaxGenerations: 60, Stagnation: 0,
+		Random: func(r *rng.Source) *cell { return &cell{v: r.Intn(1 << 12)} },
+		Crossover: func(a, b *cell, r *rng.Source) (*cell, *cell) {
+			mask := (1 << (1 + r.Intn(11))) - 1
+			a, b = live(a), live(b)
+			return &cell{v: a.v&mask | b.v&^mask}, &cell{v: b.v&mask | a.v&^mask}
+		},
+		Mutate: func(c *cell, r *rng.Source) *cell { return &cell{v: live(c).v ^ 1<<r.Intn(12)} },
+		EvaluateInto: func(pop []*cell, fit []float64) {
+			for i, c := range pop {
+				fit[i] = float64(bitCount(live(c).v))
+			}
+		},
+	}
+}
+
+// TestRunReleasesOnlyDead: Run hands every released individual over once,
+// never one it still holds — no released individual is evaluated, bred,
+// observed in a later population or returned as the best.
+func TestRunReleasesOnlyDead(t *testing.T) {
+	c := cellConfig(t)
+	released := 0
+	c.Release = func(x *cell) {
+		if x.dead {
+			t.Fatal("individual released twice")
+		}
+		x.dead = true
+		released++
+	}
+	c.OnGeneration = func(gen int, pop []*cell, fit []float64) {
+		for _, x := range pop {
+			if x.dead {
+				t.Fatalf("generation %d holds a released individual", gen)
+			}
+		}
+	}
+	res, err := Run(c, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Best.dead {
+		t.Fatal("the returned best was released")
+	}
+	if released == 0 {
+		t.Fatal("no individual was ever released")
+	}
+}
+
+// TestRunIslandsNeverReleases: migrants are shared between islands by
+// pointer, so a multi-island run must never call Release.
+func TestRunIslandsNeverReleases(t *testing.T) {
+	c := cellConfig(t)
+	c.Release = func(*cell) { t.Fatal("RunIslands released an individual") }
+	if _, err := RunIslands(IslandConfig[*cell]{Base: c, Islands: 3, MigrationEvery: 5}, rng.New(6)); err != nil {
+		t.Fatal(err)
+	}
+}

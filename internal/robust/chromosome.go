@@ -27,30 +27,23 @@ type Chromosome struct {
 	Order []int // scheduling string: a topological order of the tasks
 	Proc  []int // assignment: processor of each task (indexed by task id)
 
-	// decoded memoizes the schedule; operators always produce fresh
-	// chromosomes, so the cache never goes stale. When the chromosome is
-	// decoded through a schedule.Decoder the schedule lives in decodedVal,
-	// so the steady-state cost per decode is just the two arena
-	// allocations inside DecodeInto.
-	decoded    *schedule.Schedule
-	decodedVal schedule.Schedule
+	// genes is the single backing array of Order and Proc when the
+	// chromosome was cloned (nil otherwise), which lets a genePool recycle
+	// the chromosome once it is dead.
+	genes []int
+
+	// decoded memoizes an owned schedule, built only for callers that keep
+	// one (Decode, DecodeWith); operators always produce fresh chromosomes,
+	// so the memo never goes stale. The ε-constraint evaluator never sets
+	// it: it decodes into pooled scratch schedules and keeps only metr.
+	decoded *schedule.Schedule
 
 	// metr memoizes the fitness-relevant metrics triple. It is populated
-	// either from the decoded schedule or — via the solver's MetricsCache —
-	// without decoding at all, which is what makes re-evaluations and
+	// either from a decode or — via the solver's MetricsCache — without
+	// decoding at all, which is what makes re-evaluations and
 	// genotype-duplicate individuals free.
 	metr    schedMetrics
 	hasMetr bool
-
-	// Parentage for delta decoding: parent, when non-nil, is a chromosome
-	// this one was derived from whose genotype agrees with ours on every
-	// scheduling-string position before firstDirty (and on the processor of
-	// every task named there). The operators record it; the evaluator
-	// resolves it — compressing chains through undecoded intermediates,
-	// composing firstDirty by minimum — into the nearest decoded ancestor
-	// for schedule.Decoder.DecodeDelta.
-	parent     *Chromosome
-	firstDirty int
 
 	// Rolling genotype hash: raw is the position-weighted polynomial
 	// Σ (gene_i+1)·base^i over the order genes (positions 0..n-1) then the
@@ -93,22 +86,70 @@ func FromSchedule(s *schedule.Schedule) *Chromosome {
 	return c
 }
 
-// Clone returns a deep copy without the memoized schedule. Order and Proc
-// share one backing array (carved with full-capacity subslices, so neither
-// can grow into the other) — the GA's operators clone every offspring, and
-// one allocation instead of two is measurable over a long run.
+// Clone returns a deep copy without the memoized schedule or metrics. Order
+// and Proc share one backing array (carved with full-capacity subslices, so
+// neither can grow into the other) — the GA's operators clone every
+// offspring, and one allocation instead of two is measurable over a long
+// run.
 //
 // A computed key memo carries over, so cloning an evaluated elite never
 // re-hashes; the operators adjust it incrementally as they edit genes.
 // Callers that edit a clone's genes directly must not rely on Key.
-func (c *Chromosome) Clone() *Chromosome {
+func (c *Chromosome) Clone() *Chromosome { return c.cloneFrom(nil) }
+
+// cloneFrom is Clone reusing a dead chromosome from pool when one is free
+// (nil pool allocates).
+func (c *Chromosome) cloneFrom(pool *genePool) *Chromosome {
 	n, p := len(c.Order), len(c.Proc)
-	buf := make([]int, n+p)
+	out := pool.get(n + p)
+	if out == nil {
+		out = &Chromosome{genes: make([]int, n+p)}
+	}
+	buf := out.genes
 	copy(buf[:n], c.Order)
 	copy(buf[n:], c.Proc)
-	out := NewChromosome(buf[:n:n], buf[n:])
-	out.raw, out.key, out.hasKey = c.raw, c.key, c.hasKey
+	*out = Chromosome{Order: buf[:n:n], Proc: buf[n:], genes: buf, raw: c.raw, key: c.key, hasKey: c.hasKey}
 	return out
+}
+
+// genePool is one ga.Run's free list of dead chromosomes: the engine
+// releases the individuals it has provably finished with, and the
+// operators' clones reuse their structs and gene arrays. It is used by a
+// single goroutine (Run evolves serially), so it needs no lock. poison, set
+// only by tests, overwrites each released gene array with -1 so any use
+// after release shows.
+type genePool struct {
+	free   []*Chromosome
+	poison bool
+}
+
+// get returns a free chromosome whose gene array has k entries, or nil.
+func (p *genePool) get(k int) *Chromosome {
+	if p == nil {
+		return nil
+	}
+	i := len(p.free) - 1
+	if i < 0 || len(p.free[i].genes) != k {
+		return nil
+	}
+	c := p.free[i]
+	p.free[i] = nil
+	p.free = p.free[:i]
+	return c
+}
+
+// release recycles a dead chromosome. Chromosomes that do not own a single
+// gene array (random individuals, seeds) are left to the collector.
+func (p *genePool) release(c *Chromosome) {
+	if c.genes == nil {
+		return
+	}
+	if p.poison {
+		for i := range c.genes {
+			c.genes[i] = -1
+		}
+	}
+	p.free = append(p.free, c)
 }
 
 // Genes returns independent copies of the genotype's order and assignment
@@ -135,23 +176,22 @@ func (c *Chromosome) Decode(w *platform.Workload) (*schedule.Schedule, error) {
 		return nil, fmt.Errorf("robust: invalid chromosome: %w", err)
 	}
 	c.decoded = s
-	c.parent = nil // a decoded chromosome no longer needs its ancestry
 	return s, nil
 }
 
-// DecodeWith is Decode on the solver's pooled decoder: the schedule is built
-// into storage embedded in the chromosome, so a steady-state decode costs
-// exactly the decoder's two arena allocations.
+// DecodeWith is Decode on the solver's pooled decoder. The memoized
+// schedule is owned by the chromosome's callers: it is never decoded into
+// again.
 func (c *Chromosome) DecodeWith(d *schedule.Decoder) (*schedule.Schedule, error) {
 	if c.decoded != nil {
 		return c.decoded, nil
 	}
-	if err := d.DecodeInto(&c.decodedVal, c.Order, c.Proc); err != nil {
+	s, err := d.Decode(c.Order, c.Proc)
+	if err != nil {
 		return nil, fmt.Errorf("robust: invalid chromosome: %w", err)
 	}
-	c.decoded = &c.decodedVal
-	c.parent = nil // a decoded chromosome no longer needs its ancestry
-	return c.decoded, nil
+	c.decoded = s
+	return s, nil
 }
 
 // keyBase is the (odd, invertible mod 2^64) weight base of the rolling
@@ -239,18 +279,14 @@ func (c *Chromosome) Key() uint64 {
 //
 // Assignment strings: each parent's assignment is viewed as a processor
 // string indexed by task; a second random cut exchanges the right parts.
-//
-// Alongside the children, Crossover reports each child's first divergence
-// from its base parent (c1 from a, c2 from b): the smallest scheduling-
-// string position at which the child's (order, processor-of-ordered-task)
-// pair differs, i.e. a valid firstDirty for schedule.Decoder.DecodeDelta.
-// The proc exchange is by task id, so a reassigned task can sit anywhere
-// in the child's scheduling string; the scan below resolves its child
-// position. len(Order) means the child is genotype-identical to the parent.
-func Crossover(a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome, int, int) {
+func Crossover(a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome) {
+	return crossover(a, b, r, nil)
+}
+
+// crossover is Crossover with the children's genes drawn from pool.
+func crossover(a, b *Chromosome, r *rng.Source, pool *genePool) (*Chromosome, *Chromosome) {
 	n := len(a.Order)
-	c1, c2 := a.Clone(), b.Clone()
-	d1, d2 := n, n
+	c1, c2 := a.cloneFrom(pool), b.cloneFrom(pool)
 	if n >= 2 {
 		sc := getOpScratch(n)
 		cut := 1 + r.Intn(n-1)
@@ -260,58 +296,36 @@ func Crossover(a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome, int, 
 		for v := pcut; v < n; v++ {
 			c1.Proc[v], c2.Proc[v] = b.Proc[v], a.Proc[v]
 		}
-		d1 = finishChild(c1, a, cut, pcut, sc.pos)
-		d2 = finishChild(c2, b, cut, pcut, sc.pos)
 		putOpScratch(sc)
+		rekeyChild(c1, a, cut, pcut)
+		rekeyChild(c2, b, cut, pcut)
 	}
-	c1.parent, c1.firstDirty = a, d1
-	c2.parent, c2.firstDirty = b, d2
-	return c1, c2, d1, d2
+	return c1, c2
 }
 
-// finishChild computes a crossover child's first divergence from its base
-// parent and, when the parent's key memo carried over through Clone,
-// adjusts the child's rolling hash by differencing exactly the changed
-// genes. It reads the parent but never writes to it. pos must have
-// capacity n; its contents are overwritten.
-func finishChild(c, p *Chromosome, cut, pcut int, pos []int) int {
-	n := len(c.Order)
-	d := n
-	upd := c.hasKey
-	var pow []uint64
-	var delta uint64
-	if upd {
-		pow = keyPowers(2 * n)
+// rekeyChild adjusts a crossover child's rolling hash, when its base
+// parent's key memo carried over through Clone, by differencing exactly
+// the genes that can have changed: the order tail from cut and the
+// processors from pcut. It reads the parent but never writes to it.
+func rekeyChild(c, p *Chromosome, cut, pcut int) {
+	if !c.hasKey {
+		return
 	}
+	n := len(c.Order)
+	pow := keyPowers(2 * n)
+	var delta uint64
 	for i := cut; i < n; i++ {
 		if nv, ov := c.Order[i], p.Order[i]; nv != ov {
-			if i < d {
-				d = i
-			}
-			if upd {
-				delta += (keyGene(nv) - keyGene(ov)) * pow[i]
-			}
+			delta += (keyGene(nv) - keyGene(ov)) * pow[i]
 		}
-	}
-	pos = pos[:n]
-	for i, t := range c.Order {
-		pos[t] = i
 	}
 	for v := pcut; v < n; v++ {
 		if np, op := c.Proc[v], p.Proc[v]; np != op {
-			if pos[v] < d {
-				d = pos[v]
-			}
-			if upd {
-				delta += (keyGene(np) - keyGene(op)) * pow[n+v]
-			}
+			delta += (keyGene(np) - keyGene(op)) * pow[n+v]
 		}
 	}
-	if upd {
-		c.raw += delta
-		c.key = mixKey(c.raw)
-	}
-	return d
+	c.raw += delta
+	c.key = mixKey(c.raw)
 }
 
 // reorderTail rewrites order[cut:] so its tasks appear in the relative
@@ -359,15 +373,13 @@ func putOpScratch(sc *opScratch) { opPool.Put(sc) }
 // scheduling string — strictly after the last of its immediate predecessors
 // and strictly before the first of its immediate successors — and then
 // reassigned to a uniformly random processor.
-//
-// The second result is the child's first divergence from c, in the same
-// sense as Crossover's: the move rewrites every scheduling-string position
-// between the old and new index of v (a permutation shift changes all of
-// them), and the reassignment dirties v at its new position, so the
-// divergence is min(from, to) when v moved and to when only its processor
-// changed; len(Order) if the mutation was a no-op.
-func Mutate(w *platform.Workload, c *Chromosome, r *rng.Source) (*Chromosome, int) {
-	out := c.Clone()
+func Mutate(w *platform.Workload, c *Chromosome, r *rng.Source) *Chromosome {
+	return mutate(w, c, r, nil)
+}
+
+// mutate is Mutate with the child's genes drawn from pool.
+func mutate(w *platform.Workload, c *Chromosome, r *rng.Source, pool *genePool) *Chromosome {
+	out := c.cloneFrom(pool)
 	n := len(out.Order)
 	v := r.Intn(n)
 	sc := getOpScratch(n)
@@ -394,14 +406,6 @@ func Mutate(w *platform.Workload, c *Chromosome, r *rng.Source) (*Chromosome, in
 	op := out.Proc[v]
 	np := r.Intn(w.M())
 	out.Proc[v] = np
-	d := n
-	if from != to {
-		if d = to; from < to {
-			d = from
-		}
-	} else if np != op {
-		d = to
-	}
 	if out.hasKey {
 		pow := keyPowers(2 * n)
 		var delta uint64
@@ -417,8 +421,7 @@ func Mutate(w *platform.Workload, c *Chromosome, r *rng.Source) (*Chromosome, in
 		out.raw += delta
 		out.key = mixKey(out.raw)
 	}
-	out.parent, out.firstDirty = c, d
-	return out, d
+	return out
 }
 
 // moveWithin moves the element at index from to index to, shifting the

@@ -3,7 +3,8 @@ package robust
 import (
 	"testing"
 
-	"robsched/internal/obs"
+	"robsched/internal/ga"
+	"robsched/internal/platform"
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
 )
@@ -126,14 +127,53 @@ func BenchmarkEvaluatePopulation(b *testing.B) {
 	}
 }
 
-// TestSolveDeltaDecodeTrajectoryIdentity: delta decoding is a pure
-// performance optimization — a full Solve run with it on must be
-// bit-identical to one with it off: same best genotype, same generation
-// count, same per-generation (makespan, slack) trace. Exercised across the
-// worker and island configurations, whose interaction with the parentage
-// bookkeeping (chains through undecoded intermediates, migrants with
-// severed parents) is where a regression would hide.
-func TestSolveDeltaDecodeTrajectoryIdentity(t *testing.T) {
+// recycleRun is everything observable about one Solve run that genotype
+// recycling could corrupt: the result, the OnGeneration snapshots (retained
+// past the run, as EvolutionTrace does) and the Observer trajectory.
+type recycleRun struct {
+	res   *Result
+	snaps []*schedule.Schedule
+	stats []ga.GenStats
+}
+
+// solveWithPool runs Solve with newGenePool replaced by pool and reports
+// the pools the run built.
+func solveWithPool(t *testing.T, w *platform.Workload, opt Options, seed uint64, pool func() *genePool) (recycleRun, []*genePool) {
+	t.Helper()
+	var built []*genePool
+	saved := newGenePool
+	newGenePool = func() *genePool {
+		p := pool()
+		if p != nil {
+			built = append(built, p)
+		}
+		return p
+	}
+	defer func() { newGenePool = saved }()
+	var run recycleRun
+	if opt.Islands <= 1 {
+		opt.OnGeneration = func(gen int, best *schedule.Schedule) { run.snaps = append(run.snaps, best) }
+	}
+	opt.Observer = ga.ObserverFunc(func(s ga.GenStats) { run.stats = append(run.stats, s) })
+	res, err := Solve(w, opt, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.res = res
+	return run, built
+}
+
+// TestSolveRecycleTrajectoryIdentity is the use-after-release guard of
+// genotype recycling. The recycling run poisons every released gene array
+// with -1 before the operators reuse it, so an individual released while
+// still live — the elite, a survivor, a retained best — would feed -1
+// genes into a later clone, decode or cache comparison. The run must be
+// bit-identical to one with no recycling at all: the result, every
+// OnGeneration snapshot (each of which must also still equal a fresh
+// decode of its own genotype after the run) and the Observer trajectory.
+// Exercised across the worker and cache configurations; the islands case
+// checks that island runs never build a free list, so never release.
+func TestSolveRecycleTrajectoryIdentity(t *testing.T) {
 	for _, cfg := range []struct {
 		name             string
 		workers, islands int
@@ -147,81 +187,65 @@ func TestSolveDeltaDecodeTrajectoryIdentity(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			for _, shape := range []struct{ n, m int }{{25, 3}, {60, 5}} {
 				w := testWorkload(t, 13, shape.n, shape.m)
-				run := func(noDelta bool) (*Result, []float64) {
-					var trace []float64
-					opt := PaperOptions(EpsilonConstraint, 1.4)
-					opt.MaxGenerations = 40
-					opt.Stagnation = 0
-					opt.Workers = cfg.workers
-					opt.NoMetricsCache = cfg.noCache
-					opt.NoDeltaDecode = noDelta
-					if cfg.islands > 1 {
-						opt.Islands = cfg.islands
-						opt.MigrationEvery = 10
-					} else {
-						opt.OnGeneration = func(gen int, best *schedule.Schedule) {
-							trace = append(trace, best.Makespan(), best.AvgSlack())
+				opt := PaperOptions(EpsilonConstraint, 1.4)
+				opt.MaxGenerations = 40
+				opt.Stagnation = 0
+				opt.Workers = cfg.workers
+				opt.NoMetricsCache = cfg.noCache
+				if cfg.islands > 1 {
+					opt.Islands = cfg.islands
+					opt.MigrationEvery = 10
+				}
+				seed := 7000 + uint64(shape.n)
+				plain, _ := solveWithPool(t, w, opt, seed, func() *genePool { return nil })
+				got, pools := solveWithPool(t, w, opt, seed, func() *genePool { return &genePool{poison: true} })
+
+				if cfg.islands > 1 {
+					if len(pools) != 0 {
+						t.Fatalf("n=%d: an island run built %d gene free lists", shape.n, len(pools))
+					}
+				} else {
+					if len(pools) != 1 || len(pools[0].free) == 0 {
+						t.Fatalf("n=%d: the run released no chromosomes; the guard is vacuous", shape.n)
+					}
+					for _, c := range pools[0].free {
+						for _, g := range c.genes {
+							if g != -1 {
+								t.Fatalf("n=%d: a free chromosome's genes were written after its release", shape.n)
+							}
 						}
 					}
-					res, err := Solve(w, opt, rng.New(7000+uint64(shape.n)))
+				}
+				a, b := plain.res.Schedule, got.res.Schedule
+				if a.Makespan() != b.Makespan() || a.AvgSlack() != b.AvgSlack() ||
+					plain.res.Generations != got.res.Generations ||
+					!eqInts(a.Order(), b.Order()) || !eqInts(a.ProcAssignment(), b.ProcAssignment()) {
+					t.Fatalf("n=%d: recycling changed the result", shape.n)
+				}
+				if len(plain.snaps) != len(got.snaps) {
+					t.Fatalf("n=%d: snapshot counts differ: %d vs %d", shape.n, len(plain.snaps), len(got.snaps))
+				}
+				for i, s := range got.snaps {
+					fresh, err := schedule.FromOrder(w, s.Order(), s.ProcAssignment())
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("n=%d gen %d: snapshot genotype invalid: %v", shape.n, i, err)
 					}
-					return res, trace
-				}
-				on, tOn := run(false)
-				off, tOff := run(true)
-				if on.Schedule.Makespan() != off.Schedule.Makespan() ||
-					on.Schedule.AvgSlack() != off.Schedule.AvgSlack() ||
-					on.Generations != off.Generations {
-					t.Fatalf("n=%d: delta-on result differs from delta-off", shape.n)
-				}
-				oOn, oOff := on.Schedule.Order(), off.Schedule.Order()
-				pOn, pOff := on.Schedule.ProcAssignment(), off.Schedule.ProcAssignment()
-				for v := 0; v < shape.n; v++ {
-					if oOn[v] != oOff[v] || pOn[v] != pOff[v] {
-						t.Fatalf("n=%d: best genotype differs at task %d", shape.n, v)
+					if s.Makespan() != fresh.Makespan() || s.AvgSlack() != fresh.AvgSlack() {
+						t.Fatalf("n=%d gen %d: retained snapshot no longer matches its genotype", shape.n, i)
+					}
+					if p := plain.snaps[i]; s.Makespan() != p.Makespan() || s.AvgSlack() != p.AvgSlack() {
+						t.Fatalf("n=%d gen %d: snapshot differs from the run without recycling", shape.n, i)
 					}
 				}
-				if len(tOn) != len(tOff) {
-					t.Fatalf("trace lengths differ: %d vs %d", len(tOn), len(tOff))
+				if len(plain.stats) != len(got.stats) {
+					t.Fatalf("n=%d: observer trajectory lengths differ", shape.n)
 				}
-				for i := range tOn {
-					if tOn[i] != tOff[i] {
-						t.Fatalf("n=%d: generation trace differs at index %d", shape.n, i)
+				for i := range got.stats {
+					if got.stats[i] != plain.stats[i] {
+						t.Fatalf("n=%d: observer trajectory differs at %d: %+v vs %+v", shape.n, i, got.stats[i], plain.stats[i])
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestSolveDeltaDecodeActuallyFires guards against the optimization
-// silently disabling itself: a paper-scale run must take the delta path for
-// a substantial share of its decodes, with zero fallbacks (a fallback means
-// the operators' divergence bookkeeping handed DecodeDelta a wrong prefix).
-func TestSolveDeltaDecodeActuallyFires(t *testing.T) {
-	w := testWorkload(t, 17, 60, 5)
-	reg := obs.NewRegistry()
-	opt := PaperOptions(EpsilonConstraint, 1.4)
-	opt.MaxGenerations = 60
-	opt.Stagnation = 0
-	opt.Obs = reg
-	if _, err := Solve(w, opt, rng.New(18)); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	hits := snap.Counters["decode.delta_hits"]
-	if fb := snap.Counters["decode.delta_fallbacks"]; fb != 0 {
-		t.Fatalf("%d delta fallbacks — the operators reported a wrong divergence index", fb)
-	}
-	if hits < 100 {
-		t.Fatalf("only %d delta hits over 60 generations — the delta path is not firing", hits)
-	}
-	if ft := snap.Counters["decode.delta_frontier_tasks"]; ft >= hits*int64(w.N()) {
-		t.Fatalf("mean frontier %d tasks is the whole graph — no work is being saved", ft/hits)
-	}
-	if h := snap.Histograms["decode.delta_frontier"]; h.Count != hits {
-		t.Fatalf("frontier histogram saw %d observations, want %d", h.Count, hits)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"robsched/internal/ga"
 	"robsched/internal/heft"
@@ -104,13 +103,6 @@ type Options struct {
 	// cache only skips redundant decodes.
 	NoMetricsCache bool
 
-	// NoDeltaDecode forces every chromosome decode down the full path
-	// instead of delta-decoding against the parent it diverged from
-	// (ablation and property tests). Delta decodes are bit-identical to
-	// full decodes, so the GA trajectory — and every recorded figure — is
-	// unchanged either way; only speed differs.
-	NoDeltaDecode bool
-
 	// OnGeneration, if set, observes the best schedule of each generation
 	// (generation 0 is the initial population). Used to trace Figs. 2–3.
 	OnGeneration func(gen int, best *schedule.Schedule)
@@ -208,6 +200,16 @@ func Solve(w *platform.Workload, opt Options, r *rng.Source) (*Result, error) {
 			MigrationEvery: opt.MigrationEvery,
 		}, r)
 	} else {
+		// A single population evolves serially, so the operators can clone
+		// into the genotype arrays ga.Run releases. Islands never recycle:
+		// migrants are shared between islands by pointer.
+		if pool := newGenePool(); pool != nil {
+			cfg.Crossover = func(a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome) {
+				return crossover(a, b, r, pool)
+			}
+			cfg.Mutate = func(c *Chromosome, r *rng.Source) *Chromosome { return mutate(w, c, r, pool) }
+			cfg.Release = pool.release
+		}
 		res, err = ga.Run(cfg, r)
 	}
 	if err != nil {
@@ -216,11 +218,12 @@ func Solve(w *platform.Workload, opt Options, r *rng.Source) (*Result, error) {
 	if eval.cache != nil && (opt.Obs != nil || opt.Trace != nil) {
 		recordCacheStats(opt.Obs, opt.Trace, eval.cache.Stats().Sub(cachePre))
 	}
-	if opt.Obs != nil || opt.Trace != nil {
-		recordDeltaStats(opt.Obs, opt.Trace, eval.deltaStats())
-	}
 	return eng.Result(res)
 }
+
+// newGenePool builds the free list a single-population Solve recycles
+// genotype arrays through; tests replace it to poison or disable recycling.
+var newGenePool = func() *genePool { return new(genePool) }
 
 // runCustomFitness evolves the standard chromosome with an arbitrary
 // per-schedule fitness function (larger is better). Used by the
@@ -259,8 +262,8 @@ func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *sc
 		MaxGenerations: opt.MaxGenerations,
 		Stagnation:     opt.Stagnation,
 		Random:         func(r *rng.Source) *Chromosome { return Random(w, r) },
-		Crossover:      crossoverGA,
-		Mutate:         func(c *Chromosome, r *rng.Source) *Chromosome { out, _ := Mutate(w, c, r); return out },
+		Crossover:      Crossover,
+		Mutate:         func(c *Chromosome, r *rng.Source) *Chromosome { return Mutate(w, c, r) },
 		Key:            (*Chromosome).Key,
 		Evaluate: func(pop []*Chromosome) []float64 {
 			fit := make([]float64, len(pop))
@@ -284,18 +287,10 @@ func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *sc
 	return &Result{Schedule: s, Generations: res.Generations, Stagnated: res.Stagnated}, nil
 }
 
-// crossoverGA adapts Crossover to the engine's two-result hook; the
-// divergence indices ride along inside the children (parent/firstDirty),
-// where the evaluator's delta-decode pass picks them up.
-func crossoverGA(a, b *Chromosome, r *rng.Source) (*Chromosome, *Chromosome) {
-	c1, c2, _, _ := Crossover(a, b, r)
-	return c1, c2
-}
-
 // evaluator computes the population fitness for each mode. It is reentrant
-// — islands call evaluate concurrently — so it holds no mutable scratch;
-// per-chromosome decode/metrics state lives in the chromosomes themselves,
-// the decoder's buffer pool is concurrency-safe and the metrics cache is
+// — islands call evaluate concurrently: per-chromosome metrics live in the
+// chromosomes themselves, the decoder's buffer pool and the scratch
+// schedules are package-level sync.Pools, and the metrics cache is
 // mutex-striped.
 type evaluator struct {
 	w     *platform.Workload
@@ -305,31 +300,15 @@ type evaluator struct {
 	// cache is the genotype→metrics cache; nil when Options.NoMetricsCache
 	// disabled it.
 	cache *MetricsCache
-
-	// frontierHist receives one observation (the number of re-swept tasks)
-	// per successful delta decode; nil — and therefore a no-op — when
-	// telemetry is off.
-	frontierHist *obs.Histogram
-	// Delta-decode traffic, accumulated atomically across the decode
-	// workers. The totals are deterministic: which chromosomes decode, and
-	// each decode's frontier size, are pure functions of the GA trajectory,
-	// independent of Workers and scheduling.
-	deltaHits      atomic.Int64
-	deltaFallbacks atomic.Int64
-	deltaFrontier  atomic.Int64
 }
 
-// deltaFrontierBounds buckets frontier sizes (tasks re-swept per delta
-// decode); paper-scale graphs have tens to hundreds of tasks.
-var deltaFrontierBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-
-func (e *evaluator) deltaStats() deltaStats {
-	return deltaStats{
-		Hits:          e.deltaHits.Load(),
-		Fallbacks:     e.deltaFallbacks.Load(),
-		FrontierTasks: e.deltaFrontier.Load(),
-	}
-}
+// scratchSchedules holds the targets metrics-only decodes build into: each
+// decode takes one and returns it, so the arenas are reused instead of
+// allocated per chromosome. The pool is package-level on purpose: a pool
+// stays registered with the runtime until two collections after its last
+// use, and one embedded in the evaluator would keep the evaluator and its
+// metrics cache alive that long.
+var scratchSchedules = sync.Pool{New: func() any { return new(schedule.Schedule) }}
 
 // slackOf returns the configured robustness surrogate of a schedule.
 func (e *evaluator) slackOf(s *schedule.Schedule) float64 {
@@ -356,6 +335,17 @@ func (e *evaluator) schedOf(c *Chromosome) *schedule.Schedule {
 	return s
 }
 
+// decodeMetrics decodes c into a scratch schedule and returns its metrics
+// triple; the schedule itself is not kept.
+func (e *evaluator) decodeMetrics(c *Chromosome) (schedMetrics, error) {
+	s := scratchSchedules.Get().(*schedule.Schedule)
+	defer scratchSchedules.Put(s)
+	if err := e.dec.DecodeInto(s, c.Order, c.Proc); err != nil {
+		return schedMetrics{}, fmt.Errorf("robust: invalid chromosome: %w", err)
+	}
+	return metricsFromSchedule(s), nil
+}
+
 // metricsOf returns the chromosome's metrics triple, consulting the cache
 // and falling back to a decode. Not safe for concurrent calls on the same
 // chromosome; the GA's evaluation paths only reach it serially.
@@ -363,58 +353,69 @@ func (e *evaluator) metricsOf(c *Chromosome) schedMetrics {
 	if c.hasMetr {
 		return c.metr
 	}
-	if c.decoded == nil && e.cache != nil {
-		k := e.cache.key(c)
-		if met, ok := e.cache.lookup(k, c); ok {
-			c.metr, c.hasMetr = met, true
-			c.parent = nil
-			return c.metr
-		}
-		c.metr = metricsFromSchedule(e.schedOf(c))
-		c.hasMetr = true
-		e.cache.insert(k, c, c.metr)
+	if c.decoded != nil {
+		c.metr, c.hasMetr = metricsFromSchedule(c.decoded), true
 		return c.metr
 	}
-	c.metr = metricsFromSchedule(e.schedOf(c))
-	c.hasMetr = true
-	return c.metr
+	var k uint64
+	if e.cache != nil {
+		k = e.cache.key(c)
+		if met, ok := e.cache.lookup(k, c); ok {
+			c.metr, c.hasMetr = met, true
+			return c.metr
+		}
+	}
+	met, err := e.decodeMetrics(c)
+	if err != nil {
+		panic(err) // operators guarantee validity
+	}
+	c.metr, c.hasMetr = met, true
+	if e.cache != nil {
+		e.cache.insert(k, c, met)
+	}
+	return met
 }
 
-// dedupPending collects pop's entries that still need work (no memoized
-// metrics and no decoded schedule), deduplicated by pointer — selection and
-// elitism alias chromosomes, so the same pointer can fill several slots.
-// The map replaces a historical O(Np²) scan; it matters once PopSize rises
-// above the paper's 20.
-func dedupPending(pop []*Chromosome, needsWork func(*Chromosome) bool) []*Chromosome {
-	pending := make([]*Chromosome, 0, len(pop))
-	seen := make(map[*Chromosome]struct{}, len(pop))
+// pendingScratch is one population pass's working set — the pending list,
+// its pointer set and the cache keys — pooled so that a steady-state
+// generation allocates none of it.
+type pendingScratch struct {
+	pending []*Chromosome
+	seen    map[*Chromosome]struct{}
+	keys    []uint64
+}
+
+var pendingPool = sync.Pool{New: func() any {
+	return &pendingScratch{seen: make(map[*Chromosome]struct{})}
+}}
+
+// release clears the scratch (so the pool pins no chromosome) and pools it.
+func (sc *pendingScratch) release() {
+	clear(sc.pending)
+	clear(sc.seen)
+	sc.pending = sc.pending[:0]
+	sc.keys = sc.keys[:0]
+	pendingPool.Put(sc)
+}
+
+// dedupPending collects pop's entries that still need work into a pooled
+// scratch, deduplicated by pointer — selection and elitism alias
+// chromosomes, so the same pointer can fill several slots. The map
+// replaces a historical O(Np²) scan; it matters once PopSize rises above
+// the paper's 20. The caller releases the scratch when done with it.
+func dedupPending(pop []*Chromosome, needsWork func(*Chromosome) bool) *pendingScratch {
+	sc := pendingPool.Get().(*pendingScratch)
 	for _, c := range pop {
 		if !needsWork(c) {
 			continue
 		}
-		if _, dup := seen[c]; dup {
+		if _, dup := sc.seen[c]; dup {
 			continue
 		}
-		seen[c] = struct{}{}
-		pending = append(pending, c)
+		sc.seen[c] = struct{}{}
+		sc.pending = append(sc.pending, c)
 	}
-	return pending
-}
-
-// decodeAll fans the pending chromosomes out across worker goroutines
-// (0 = GOMAXPROCS) and waits for all of them; each finished chromosome runs
-// the optional done hook on its worker. Decode order cannot influence
-// results: each schedule depends only on its own genotype.
-func decodeAll(dec *schedule.Decoder, pending []*Chromosome, workers int, done func(i int, c *Chromosome)) {
-	fanOut(pending, workers, func(i int, c *Chromosome) error {
-		if _, err := c.DecodeWith(dec); err != nil {
-			return err
-		}
-		if done != nil {
-			done(i, c)
-		}
-		return nil
-	})
+	return sc
 }
 
 // fanOut runs work(i, c) for every pending chromosome across `workers`
@@ -458,98 +459,18 @@ func fanOut(pending []*Chromosome, workers int, work func(i int, c *Chromosome) 
 	}
 }
 
-// deltaPlan is one pending chromosome's decode decision: a nil parent means
-// a full decode; otherwise DecodeDelta reuses the parent schedule's prefix
-// before position fd. Plans are resolved serially before the parallel
-// fan-out so no worker ever reads another chromosome's parentage fields.
-type deltaPlan struct {
-	parent *schedule.Schedule
-	fd     int
-}
-
-// planDeltas resolves each miss's parent chain to its nearest decoded
-// ancestor — composing the first-divergence indices by minimum, which keeps
-// the prefix-agreement invariant transitively — and decides full vs delta
-// on a cheap cost model: a clean prefix shorter than n/8 pays the delta
-// path's per-suffix-task overhead on nearly the whole graph, and more than
-// n/4 changed genes seeds the dirty sweeps so densely (each moved task
-// rewires disjunctive arcs, each reassignment re-costs its arcs) that the
-// branch-free full sweep is faster than tracking what survived. Both scans
-// are O(n) in the serial section, noise next to the decode they steer. All
-// parent links are severed afterwards so discarded generations (and their
-// schedule arenas) stay collectable.
-func (e *evaluator) planDeltas(misses []*Chromosome) []deltaPlan {
-	var plans []deltaPlan
-	if !e.opt.NoDeltaDecode {
-		plans = make([]deltaPlan, len(misses))
-		for i, c := range misses {
-			d := c.firstDirty
-			p := c.parent
-			for p != nil && p.decoded == nil {
-				if p.firstDirty < d {
-					d = p.firstDirty
-				}
-				p = p.parent
-			}
-			n := len(c.Order)
-			if p == nil || d*8 < n {
-				continue // plans[i] stays the zero full-decode plan
-			}
-			changes := 0
-			for j := d; j < n; j++ {
-				if c.Order[j] != p.Order[j] {
-					changes++
-				}
-			}
-			for v := range c.Proc {
-				if c.Proc[v] != p.Proc[v] {
-					changes++
-				}
-			}
-			if changes*4 > n {
-				continue
-			}
-			plans[i] = deltaPlan{parent: p.decoded, fd: d}
-		}
-	}
-	// Sever only after every chain is resolved: a miss's chain may pass
-	// through another miss of the same batch.
-	for _, c := range misses {
-		c.parent = nil
-	}
-	return plans
-}
-
-// decodeOne executes one plan, routing telemetry by outcome. A fallback
-// (DecodeDelta rejecting the claimed prefix) means the parentage
-// bookkeeping is wrong; it stays correct — DecodeDelta re-runs the full
-// path — but is counted separately so it can be alarmed on.
-func (e *evaluator) decodeOne(c *Chromosome, pl deltaPlan) error {
-	if pl.parent == nil {
-		_, err := c.DecodeWith(e.dec)
-		return err
-	}
-	frontier, full, err := e.dec.DecodeDelta(pl.parent, &c.decodedVal, c.Order, c.Proc, pl.fd)
-	if err != nil {
-		return fmt.Errorf("robust: invalid chromosome: %w", err)
-	}
-	c.decoded = &c.decodedVal
-	if full {
-		e.deltaFallbacks.Add(1)
-		return nil
-	}
-	e.deltaHits.Add(1)
-	e.deltaFrontier.Add(int64(frontier))
-	e.frontierHist.Observe(float64(frontier))
-	return nil
-}
-
-// decodePopulation decodes every not-yet-decoded chromosome of pop (used by
-// the custom-fitness and NSGA-II paths, which need full schedules rather
-// than the metrics triple).
+// decodePopulation decodes every not-yet-decoded chromosome of pop into
+// owned schedules across worker goroutines (0 = GOMAXPROCS); used by the
+// custom-fitness and NSGA-II paths, which need full schedules rather than
+// the metrics triple. Decode order cannot influence results: each schedule
+// depends only on its own genotype.
 func decodePopulation(dec *schedule.Decoder, pop []*Chromosome, workers int) {
-	pending := dedupPending(pop, func(c *Chromosome) bool { return c.decoded == nil })
-	decodeAll(dec, pending, workers, nil)
+	sc := dedupPending(pop, func(c *Chromosome) bool { return c.decoded == nil })
+	defer sc.release()
+	fanOut(sc.pending, workers, func(_ int, c *Chromosome) error {
+		_, err := c.DecodeWith(dec)
+		return err
+	})
 }
 
 // ensureMetrics guarantees every chromosome of pop carries its metrics
@@ -561,10 +482,7 @@ func decodePopulation(dec *schedule.Decoder, pop []*Chromosome, workers int) {
 // metrics into the cache as they finish. The barrier guarantees the serial
 // fitness combination that follows sees every metric.
 func (e *evaluator) ensureMetrics(pop []*Chromosome) {
-	// No parent severing in this closure: every path that sets hasMetr or
-	// decoded already severed, so the fields are nil here — and writing
-	// them would race between islands, which share migrant pointers.
-	pending := dedupPending(pop, func(c *Chromosome) bool {
+	sc := dedupPending(pop, func(c *Chromosome) bool {
 		if c.hasMetr {
 			return false
 		}
@@ -575,37 +493,33 @@ func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 		}
 		return true
 	})
+	defer sc.release()
 	// Serial cache pass: hashing is cheap next to a decode, and resolving
 	// hits up front keeps the parallel section to pure decode work.
-	misses := pending
+	misses := sc.pending
 	var keys []uint64
 	if e.cache != nil {
-		misses = pending[:0]
-		keys = make([]uint64, 0, len(pending))
-		for _, c := range pending {
+		misses = misses[:0]
+		keys = sc.keys
+		for _, c := range sc.pending {
 			k := e.cache.key(c)
 			if met, ok := e.cache.lookup(k, c); ok {
 				c.metr, c.hasMetr = met, true
-				c.parent = nil
 				continue
 			}
 			misses = append(misses, c)
 			keys = append(keys, k)
 		}
+		sc.keys = keys
 	}
-	plans := e.planDeltas(misses)
 	fanOut(misses, e.opt.Workers, func(i int, c *Chromosome) error {
-		var pl deltaPlan
-		if plans != nil {
-			pl = plans[i]
-		}
-		if err := e.decodeOne(c, pl); err != nil {
+		met, err := e.decodeMetrics(c)
+		if err != nil {
 			return err
 		}
-		c.metr = metricsFromSchedule(c.decoded)
-		c.hasMetr = true
+		c.metr, c.hasMetr = met, true
 		if keys != nil {
-			e.cache.insert(keys[i], c, c.metr)
+			e.cache.insert(keys[i], c, met)
 		}
 		return nil
 	})

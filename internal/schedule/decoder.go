@@ -10,8 +10,9 @@ import (
 // Decoder is the fast path for decoding GA chromosomes (scheduling string +
 // assignment string) into schedules. All transient construction state comes
 // from a package-level pool and the data-arc CSR is shared per task graph,
-// so steady-state decoding costs exactly two heap allocations per schedule
-// (its int32 and float64 arenas).
+// so a fresh schedule costs exactly its two arenas (int32 and float64) plus
+// the struct, and re-decoding into a target that already holds large
+// enough arenas allocates nothing.
 //
 // A Decoder is safe for concurrent use by multiple goroutines as long as
 // each goroutine decodes distinct Schedule targets.
@@ -34,9 +35,11 @@ func (d *Decoder) Decode(order, proc []int) (*Schedule, error) {
 	return s, nil
 }
 
-// DecodeInto builds the schedule into an existing (typically embedded)
-// Schedule value, overwriting all of its state. On error the target is left
-// in an unspecified state and must not be used.
+// DecodeInto builds the schedule into an existing Schedule value,
+// overwriting all of its state and reusing its arenas when they are large
+// enough. The target must therefore be owned by the caller: a schedule
+// anyone else still reads must not be decoded into. On error the target is
+// left in an unspecified state and must not be used.
 func (d *Decoder) DecodeInto(s *Schedule, order, proc []int) error {
 	sc := getScratch(d.w.N(), d.w.M())
 	defer putScratch(sc)
@@ -49,18 +52,15 @@ func (d *Decoder) DecodeInto(s *Schedule, order, proc []int) error {
 // decodeScratch holds every transient buffer one schedule construction
 // needs. Instances are pooled; ensure grows them to the workload at hand.
 type decodeScratch struct {
-	proc    []int32 // validated task -> processor copy
-	porder  []int32 // tasks grouped by processor
-	dsucc   []int32 // disjunctive successor of each task, -1 if none
-	dpred   []int32 // disjunctive predecessor of each task, -1 if none
-	cursor  []int32 // Kahn indegrees (explicit-list construction only)
-	pos     []int32 // position of each task in the scheduling string
-	poff    []int32 // m+1 per-processor offsets into porder
-	pcur    []int32 // per-processor fill cursors
-	plast   []int32 // last task seen on each processor, -1 if none
-	changed []bool  // delta decode: tasks with a reassigned processor
-	sdirty  []bool  // delta decode: start/finish recompute frontier
-	bdirty  []bool  // delta decode: bottom-level recompute frontier
+	proc   []int32 // validated task -> processor copy
+	porder []int32 // tasks grouped by processor
+	dsucc  []int32 // disjunctive successor of each task, -1 if none
+	dpred  []int32 // disjunctive predecessor of each task, -1 if none
+	cursor []int32 // Kahn indegrees (explicit-list construction only)
+	pos    []int32 // position of each task in the scheduling string
+	poff   []int32 // m+1 per-processor offsets into porder
+	pcur   []int32 // per-processor fill cursors
+	plast  []int32 // last task seen on each processor, -1 if none
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
@@ -74,9 +74,6 @@ func getScratch(n, m int) *decodeScratch {
 		sc.dpred = make([]int32, n)
 		sc.cursor = make([]int32, n)
 		sc.pos = make([]int32, n)
-		sc.changed = make([]bool, n)
-		sc.sdirty = make([]bool, n)
-		sc.bdirty = make([]bool, n)
 	}
 	if cap(sc.poff) < m+1 {
 		sc.poff = make([]int32, m+1)
@@ -201,8 +198,10 @@ func (sc *decodeScratch) prepassFromLists(w *platform.Workload, proc []int, proc
 func carveI(a []int32, k int) ([]int32, []int32)       { return a[:k:k], a[k:] }
 func carveF(a []float64, k int) ([]float64, []float64) { return a[:k:k], a[k:] }
 
-// buildWith constructs the schedule from the scratch prepass, allocating
-// exactly two arenas (one int32, one float64). When order is non-nil it
+// buildWith constructs the schedule from the scratch prepass into two
+// arenas (one int32, one float64), reusing the target's own when they are
+// large enough; every carved entry is overwritten below, so nothing of a
+// previous schedule survives. When order is non-nil it
 // doubles as the topological order of G_s — validated arc-by-arc during the
 // communication-cost fill — so downstream passes iterate the scheduling
 // string itself. The explicit-list path (order nil) derives the order with
@@ -214,14 +213,20 @@ func buildWith(s *Schedule, w *platform.Workload, arcs *arcSet, sc *decodeScratc
 	n, m := w.N(), w.M()
 	nE := len(arcs.succTo)
 
-	ints := make([]int32, 5*n+m+1)
+	if k := 5*n + m + 1; cap(s.ints) < k {
+		s.ints = make([]int32, k)
+	}
+	if k := 5*n + 2*nE; cap(s.floats) < k {
+		s.floats = make([]float64, k)
+	}
+	ints := s.ints
 	s.proc, ints = carveI(ints, n)
 	s.topo, ints = carveI(ints, n)
 	s.porder, ints = carveI(ints, n)
 	s.porderOff, ints = carveI(ints, m+1)
 	s.dsucc, ints = carveI(ints, n)
 	s.dpred, _ = carveI(ints, n)
-	floats := make([]float64, 5*n+2*nE)
+	floats := s.floats
 	s.succComm, floats = carveF(floats, nE)
 	s.predComm, floats = carveF(floats, nE)
 	s.expDur, floats = carveF(floats, n)

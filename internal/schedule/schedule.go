@@ -18,8 +18,8 @@
 // in one int32 arena and all float state in one float64 arena, so building
 // a schedule costs exactly two heap allocations beyond its struct and the
 // longest-path passes walk contiguous memory. See Decoder (decoder.go) for
-// the pooled fast path used by the GA's chromosome decoding and for
-// DecodeDelta, the incremental path that reuses a parent schedule's prefix.
+// the pooled fast path used by the GA's chromosome decoding, which can
+// re-decode into a caller-owned schedule without allocating.
 package schedule
 
 import (
@@ -69,6 +69,11 @@ type Schedule struct {
 	slack    []float64 // σ_i = M - Bl(i) - Tl(i)
 	avgSlack float64
 	minSlack float64
+
+	// The arenas every slice above is carved from, kept so that decoding
+	// into this schedule again can reuse them (Decoder.DecodeInto).
+	ints   []int32
+	floats []float64
 }
 
 // New builds and validates a schedule from a task→processor map and
