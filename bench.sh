@@ -27,7 +27,7 @@ set -eu
 cd "$(dirname "$0")"
 
 go test -run '^$' \
-    -bench 'BenchmarkDecode$|BenchmarkFromOrder$|BenchmarkEvaluatePopulation|BenchmarkSolveEpsilonConstraint$' \
+    -bench 'BenchmarkDecode$|BenchmarkMetrics$|BenchmarkFromOrder$|BenchmarkEvaluatePopulation|BenchmarkSolveEpsilonConstraint$' \
     -benchmem "$@" ./internal/schedule ./internal/robust . \
   | tee /dev/stderr \
   | go run ./cmd/benchjson -o BENCH_decode.json

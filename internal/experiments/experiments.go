@@ -149,6 +149,19 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// solveWorkers is the Options.Workers of each Solve a runner makes inside
+// a parallelFor over jobs. When the GA workers are left at their default
+// and the outer loop alone occupies every worker, each Solve evaluates its
+// populations serially: spawning per-generation decode goroutines on cores
+// the outer loop already fills is pure overhead. GA trajectories are
+// bit-identical for every Workers setting, so no result changes.
+func (c Config) solveWorkers(jobs int) int {
+	if c.GA.Workers == 0 && jobs >= c.workers() {
+		return 1
+	}
+	return c.GA.Workers
+}
+
 // gaOptions returns the configured GA options with zero fields replaced by
 // the paper defaults, so partially filled configs stay usable.
 func (c Config) gaOptions() robust.Options {

@@ -290,6 +290,26 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
+// TestSolveWorkers pins when the Solves inside a runner's parallelFor go
+// serial: only when the GA workers are left at their default and the outer
+// loop has a job for every worker.
+func TestSolveWorkers(t *testing.T) {
+	for _, c := range []struct{ gaWorkers, workers, jobs, want int }{
+		{0, 2, 20, 1},
+		{0, 2, 2, 1},
+		{0, 4, 2, 0},
+		{3, 2, 20, 3},
+		{3, 4, 2, 3},
+	} {
+		cfg := tinyConfig()
+		cfg.GA.Workers, cfg.Workers = c.gaWorkers, c.workers
+		if got := cfg.solveWorkers(c.jobs); got != c.want {
+			t.Errorf("GA.Workers=%d Workers=%d jobs=%d: solveWorkers = %d, want %d",
+				c.gaWorkers, c.workers, c.jobs, got, c.want)
+		}
+	}
+}
+
 func TestFigRequiresEps1(t *testing.T) {
 	c := tinyConfig()
 	c.Eps = []float64{1.5, 2.0}

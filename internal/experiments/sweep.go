@@ -81,6 +81,7 @@ func (c Config) RunSweep() (*Sweep, error) {
 		for e, eps := range c.Eps {
 			opt := base
 			opt.Mode = robust.EpsilonConstraint
+			opt.Workers = c.solveWorkers(len(c.ULs) * c.Graphs)
 			opt.Eps = eps
 			opt.HEFT = heftSched
 			opt.Cache = cache

@@ -52,26 +52,36 @@ func (c Config) EvolutionTrace(mode robust.Mode) (*Trace, error) {
 			if err != nil {
 				return err
 			}
-			// Capture the best schedule at each sampled generation.
+			// Capture the best schedule at each sampled generation,
+			// decoding it while the run still lends the chromosome.
 			snapshots := make([]*schedule.Schedule, len(steps))
 			next := 0
+			var snapErr error
 			opt := base
 			opt.Mode = mode
+			opt.Workers = c.solveWorkers(c.Graphs)
 			opt.Stagnation = 0 // traces need the full horizon
 			// The paper's Fig. 2/3 trajectories span large log-ratios,
 			// which requires the single-objective GAs to start from a
 			// fully random population: with a HEFT seed, generation 0 is
 			// already near-optimal and the evolution effect is invisible.
 			opt.NoHEFTSeed = true
-			opt.OnGeneration = func(gen int, best *schedule.Schedule) {
+			opt.OnGeneration = func(gen int, best *robust.Chromosome) {
 				if next < len(steps) && gen == steps[next] {
-					snapshots[next] = best
+					s, err := schedule.FromOrder(w, best.Order, best.Proc)
+					if err != nil && snapErr == nil {
+						snapErr = err
+					}
+					snapshots[next] = s
 					next++
 				}
 			}
 			gaRNG := rng.New(c.graphSeed(u, g) ^ 0xabcdef12345)
 			if _, err := robust.Solve(w, opt, gaRNG); err != nil {
 				return err
+			}
+			if snapErr != nil {
+				return snapErr
 			}
 			// Evaluate every snapshot under common random numbers.
 			ms, err := c.evaluateAll(snapshots, c.simOptions(), rng.New(c.graphSeed(u, g)^0x5555))

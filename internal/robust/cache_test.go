@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"robsched/internal/platform"
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
 )
@@ -29,7 +30,8 @@ func solveTraced(t *testing.T, opt Options, seed uint64, wseed uint64, n, m int)
 	w := testWorkload(t, wseed, n, m)
 	var tr solveTrace
 	if opt.Islands <= 1 {
-		opt.OnGeneration = func(gen int, best *schedule.Schedule) {
+		opt.OnGeneration = func(gen int, c *Chromosome) {
+			best := decodeLent(t, w, c)
 			tr.trajM0 = append(tr.trajM0, best.Makespan())
 			tr.trajSlack = append(tr.trajSlack, best.AvgSlack())
 		}
@@ -45,6 +47,17 @@ func solveTraced(t *testing.T, opt Options, seed uint64, wseed uint64, n, m int)
 	tr.gens = res.Generations
 	tr.stagnated = res.Stagnated
 	return tr
+}
+
+// decodeLent decodes the chromosome OnGeneration lends, inside the call:
+// the run may recycle its genes once the call returns.
+func decodeLent(t *testing.T, w *platform.Workload, c *Chromosome) *schedule.Schedule {
+	t.Helper()
+	s, err := schedule.FromOrder(w, c.Order, c.Proc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func eqInts(a, b []int) bool {
@@ -192,7 +205,7 @@ func TestMetricsCacheHitReturnsExactMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	met := metricsFromSchedule(s)
+	met := s.Metrics()
 	mc := NewMetricsCache()
 	mc.insert(mc.key(c), c, met)
 
@@ -225,7 +238,7 @@ func TestMetricsCacheCollisionFallsBackToDecode(t *testing.T) {
 	}
 	mc := NewMetricsCache()
 	mc.keyFn = func(*Chromosome) uint64 { return 42 }
-	mc.insert(mc.key(a), a, metricsFromSchedule(sa))
+	mc.insert(mc.key(a), a, sa.Metrics())
 	if _, ok := mc.lookup(mc.key(b), b); ok {
 		t.Fatal("colliding key with different genotype reported a hit")
 	}
@@ -274,7 +287,7 @@ func TestMetricsCacheEvictionResetsShard(t *testing.T) {
 	for i := 0; i <= cacheShardCap; i++ {
 		c := mkChrom(i)
 		k := uint64(i) * cacheShardCount
-		mc.insert(k, c, schedMetrics{m0: float64(i)})
+		mc.insert(k, c, schedule.Metrics{Makespan: float64(i)})
 	}
 	sh := &mc.shards[0]
 	if sh.n > cacheShardCap {
@@ -282,7 +295,7 @@ func TestMetricsCacheEvictionResetsShard(t *testing.T) {
 	}
 	// The post-reset insert must still be retrievable.
 	last := mkChrom(cacheShardCap)
-	if met, ok := mc.lookup(uint64(cacheShardCap)*cacheShardCount, last); !ok || met.m0 != float64(cacheShardCap) {
+	if met, ok := mc.lookup(uint64(cacheShardCap)*cacheShardCount, last); !ok || met.Makespan != float64(cacheShardCap) {
 		t.Fatalf("post-eviction entry lost: ok=%v met=%+v", ok, met)
 	}
 }

@@ -35,14 +35,14 @@ type Chromosome struct {
 	// decoded memoizes an owned schedule, built only for callers that keep
 	// one (Decode, DecodeWith); operators always produce fresh chromosomes,
 	// so the memo never goes stale. The ε-constraint evaluator never sets
-	// it: it decodes into pooled scratch schedules and keeps only metr.
+	// it: it evaluates the metrics kernel and keeps only metr.
 	decoded *schedule.Schedule
 
 	// metr memoizes the fitness-relevant metrics triple. It is populated
 	// either from a decode or — via the solver's MetricsCache — without
 	// decoding at all, which is what makes re-evaluations and
 	// genotype-duplicate individuals free.
-	metr    schedMetrics
+	metr    schedule.Metrics
 	hasMetr bool
 
 	// Rolling genotype hash: raw is the position-weighted polynomial
@@ -81,7 +81,7 @@ func Random(w *platform.Workload, r *rng.Source) *Chromosome {
 func FromSchedule(s *schedule.Schedule) *Chromosome {
 	c := NewChromosome(s.Order(), s.ProcAssignment())
 	c.decoded = s
-	c.metr = metricsFromSchedule(s)
+	c.metr = s.Metrics()
 	c.hasMetr = true
 	return c
 }
@@ -163,15 +163,14 @@ func (c *Chromosome) Genes() (order, proc []int) {
 }
 
 // Decode builds (and memoizes) the schedule the chromosome represents.
-// Operators maintain the invariant that Order is a topological order, so the
-// trusted constructor applies; malformed genotypes (non-permutations,
-// out-of-range processors, same-processor precedence inversions) are still
-// rejected with an error.
+// Operators maintain the invariant that Order is a topological order;
+// malformed genotypes (non-permutations, out-of-range processors,
+// precedence inversions) are rejected with an error.
 func (c *Chromosome) Decode(w *platform.Workload) (*schedule.Schedule, error) {
 	if c.decoded != nil {
 		return c.decoded, nil
 	}
-	s, err := schedule.FromOrderTrusted(w, c.Order, c.Proc)
+	s, err := schedule.FromOrder(w, c.Order, c.Proc)
 	if err != nil {
 		return nil, fmt.Errorf("robust: invalid chromosome: %w", err)
 	}

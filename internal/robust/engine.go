@@ -91,7 +91,7 @@ func NewEngine(w *platform.Workload, opt Options) (*Engine, error) {
 	// recombination over already-known metrics.
 	switch opt.Mode {
 	case MinMakespan:
-		cfg.EvaluateOne = func(c *Chromosome) float64 { return -eval.metricsOf(c).m0 }
+		cfg.EvaluateOne = func(c *Chromosome) float64 { return -eval.metricsOf(c).Makespan }
 	case MaxSlack:
 		cfg.EvaluateOne = func(c *Chromosome) float64 { return eval.slackMet(eval.metricsOf(c)) }
 	}

@@ -59,7 +59,8 @@ func TestSolveParallelDeterminism(t *testing.T) {
 				opt.MaxGenerations = 40
 				opt.Stagnation = 0
 				opt.Workers = workers
-				opt.OnGeneration = func(gen int, best *schedule.Schedule) {
+				opt.OnGeneration = func(gen int, c *Chromosome) {
+					best := decodeLent(t, w, c)
 					trace = append(trace, best.Makespan(), best.AvgSlack())
 				}
 				res, err := Solve(w, opt, rng.New(seed*1000+uint64(shape.n)))
@@ -128,8 +129,9 @@ func BenchmarkEvaluatePopulation(b *testing.B) {
 }
 
 // recycleRun is everything observable about one Solve run that genotype
-// recycling could corrupt: the result, the OnGeneration snapshots (retained
-// past the run, as EvolutionTrace does) and the Observer trajectory.
+// recycling could corrupt: the result, the OnGeneration snapshots (decoded
+// inside each call and retained past the run, as EvolutionTrace does) and
+// the Observer trajectory.
 type recycleRun struct {
 	res   *Result
 	snaps []*schedule.Schedule
@@ -152,7 +154,7 @@ func solveWithPool(t *testing.T, w *platform.Workload, opt Options, seed uint64,
 	defer func() { newGenePool = saved }()
 	var run recycleRun
 	if opt.Islands <= 1 {
-		opt.OnGeneration = func(gen int, best *schedule.Schedule) { run.snaps = append(run.snaps, best) }
+		opt.OnGeneration = func(gen int, best *Chromosome) { run.snaps = append(run.snaps, decodeLent(t, w, best)) }
 	}
 	opt.Observer = ga.ObserverFunc(func(s ga.GenStats) { run.stats = append(run.stats, s) })
 	res, err := Solve(w, opt, rng.New(seed))

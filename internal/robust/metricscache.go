@@ -7,20 +7,6 @@ import (
 	"robsched/internal/schedule"
 )
 
-// schedMetrics is the genotype-deterministic triple every GA fitness in this
-// package is combined from. Caching it per genotype is sound because a
-// chromosome's schedule — and hence its expected makespan and slack — is a
-// pure function of (Order, Proc) for a fixed workload.
-type schedMetrics struct {
-	m0       float64
-	avgSlack float64
-	minSlack float64
-}
-
-func metricsFromSchedule(s *schedule.Schedule) schedMetrics {
-	return schedMetrics{m0: s.Makespan(), avgSlack: s.AvgSlack(), minSlack: s.MinSlack()}
-}
-
 const (
 	// cacheShardCount stripes the cache so concurrent islands (and the
 	// parallel population decoders) rarely contend on the same mutex.
@@ -31,8 +17,11 @@ const (
 	cacheShardCap = 1024
 )
 
-// MetricsCache memoizes schedule metrics by genotype fingerprint, so the GA
-// only pays the O(V+E) decode for genuinely novel genotypes: elitism copies,
+// MetricsCache memoizes schedule metrics — the triple every GA fitness in
+// this package is combined from — by genotype fingerprint. That is sound
+// because a chromosome's schedule, and hence its expected makespan and
+// slack, is a pure function of (Order, Proc) for a fixed workload. The GA
+// only pays the O(V+E) evaluation for genuinely novel genotypes: elitism copies,
 // tournament-duplicated winners, crossovers of converged parents and no-op
 // mutations all produce fresh *Chromosome pointers with already-seen
 // genotypes. Every hit is confirmed by full genotype equality, so an FNV-1a
@@ -108,7 +97,7 @@ type cacheShard struct {
 // alongside the metrics so hits can be verified exactly.
 type cacheEntry struct {
 	geno []int32
-	met  schedMetrics
+	met  schedule.Metrics
 }
 
 // NewMetricsCache returns an empty cache ready for concurrent use.
@@ -123,7 +112,7 @@ func (mc *MetricsCache) key(c *Chromosome) uint64 {
 
 // lookup returns the metrics recorded for c's genotype, if any. k must be
 // mc.key(c); callers pass it in so the hot path hashes the genotype once.
-func (mc *MetricsCache) lookup(k uint64, c *Chromosome) (schedMetrics, bool) {
+func (mc *MetricsCache) lookup(k uint64, c *Chromosome) (schedule.Metrics, bool) {
 	sh := &mc.shards[k%cacheShardCount]
 	sh.mu.Lock()
 	entries := sh.m[k]
@@ -139,7 +128,7 @@ func (mc *MetricsCache) lookup(k uint64, c *Chromosome) (schedMetrics, bool) {
 	if len(entries) > 0 {
 		mc.collisions.Add(1)
 	}
-	return schedMetrics{}, false
+	return schedule.Metrics{}, false
 }
 
 // insert records the metrics of c's genotype under key k (= mc.key(c)),
@@ -147,7 +136,7 @@ func (mc *MetricsCache) lookup(k uint64, c *Chromosome) (schedMetrics, bool) {
 // corrupt the entry. Duplicate concurrent inserts of the same genotype
 // (two workers decoding different pointers with equal genotypes) collapse
 // to one entry.
-func (mc *MetricsCache) insert(k uint64, c *Chromosome, met schedMetrics) {
+func (mc *MetricsCache) insert(k uint64, c *Chromosome, met schedule.Metrics) {
 	geno := make([]int32, 0, len(c.Order)+len(c.Proc))
 	for _, v := range c.Order {
 		geno = append(geno, int32(v))

@@ -103,9 +103,13 @@ type Options struct {
 	// cache only skips redundant decodes.
 	NoMetricsCache bool
 
-	// OnGeneration, if set, observes the best schedule of each generation
+	// OnGeneration, if set, observes the best chromosome of each generation
 	// (generation 0 is the initial population). Used to trace Figs. 2–3.
-	OnGeneration func(gen int, best *schedule.Schedule)
+	// The chromosome is lent for the duration of the call only: once the
+	// call returns, the run may recycle its genes into a later offspring.
+	// A caller that keeps anything decodes it (Chromosome.Decode) or
+	// copies the genes (Genes) inside the call.
+	OnGeneration func(gen int, best *Chromosome)
 
 	// Obs, if non-nil, receives solver telemetry: per-generation engine
 	// counters/gauges (ga.generations, ga.crossovers, ga.mutations,
@@ -181,7 +185,7 @@ func Solve(w *platform.Workload, opt Options, r *rng.Source) (*Result, error) {
 					best = i
 				}
 			}
-			on(gen, eval.schedOf(pop[best]))
+			on(gen, pop[best])
 		}
 	}
 	if opt.Trace != nil {
@@ -289,9 +293,8 @@ func runCustomFitness(w *platform.Workload, opt Options, r *rng.Source, seed *sc
 
 // evaluator computes the population fitness for each mode. It is reentrant
 // — islands call evaluate concurrently: per-chromosome metrics live in the
-// chromosomes themselves, the decoder's buffer pool and the scratch
-// schedules are package-level sync.Pools, and the metrics cache is
-// mutex-striped.
+// chromosomes themselves, the decoder's scratch is a package-level
+// sync.Pool, and the metrics cache is mutex-striped.
 type evaluator struct {
 	w     *platform.Workload
 	opt   Options
@@ -302,59 +305,33 @@ type evaluator struct {
 	cache *MetricsCache
 }
 
-// scratchSchedules holds the targets metrics-only decodes build into: each
-// decode takes one and returns it, so the arenas are reused instead of
-// allocated per chromosome. The pool is package-level on purpose: a pool
-// stays registered with the runtime until two collections after its last
-// use, and one embedded in the evaluator would keep the evaluator and its
-// metrics cache alive that long.
-var scratchSchedules = sync.Pool{New: func() any { return new(schedule.Schedule) }}
-
-// slackOf returns the configured robustness surrogate of a schedule.
-func (e *evaluator) slackOf(s *schedule.Schedule) float64 {
+// slackMet returns the configured robustness surrogate of a metrics triple.
+func (e *evaluator) slackMet(m schedule.Metrics) float64 {
 	if e.opt.SlackMetric == MinSlack {
-		return s.MinSlack()
+		return m.MinSlack
 	}
-	return s.AvgSlack()
+	return m.AvgSlack
 }
 
-// slackMet is slackOf over the cached metrics triple.
-func (e *evaluator) slackMet(m schedMetrics) float64 {
-	if e.opt.SlackMetric == MinSlack {
-		return m.minSlack
-	}
-	return m.avgSlack
-}
-
-// schedOf returns the chromosome's memoized schedule, decoding on demand.
-func (e *evaluator) schedOf(c *Chromosome) *schedule.Schedule {
-	s, err := c.DecodeWith(e.dec)
+// decodeMetrics evaluates c's metrics triple with the decoder's metrics
+// kernel; no schedule is built.
+func (e *evaluator) decodeMetrics(c *Chromosome) (schedule.Metrics, error) {
+	m, err := e.dec.Metrics(c.Order, c.Proc)
 	if err != nil {
-		panic(err) // operators guarantee validity
+		return schedule.Metrics{}, fmt.Errorf("robust: invalid chromosome: %w", err)
 	}
-	return s
-}
-
-// decodeMetrics decodes c into a scratch schedule and returns its metrics
-// triple; the schedule itself is not kept.
-func (e *evaluator) decodeMetrics(c *Chromosome) (schedMetrics, error) {
-	s := scratchSchedules.Get().(*schedule.Schedule)
-	defer scratchSchedules.Put(s)
-	if err := e.dec.DecodeInto(s, c.Order, c.Proc); err != nil {
-		return schedMetrics{}, fmt.Errorf("robust: invalid chromosome: %w", err)
-	}
-	return metricsFromSchedule(s), nil
+	return m, nil
 }
 
 // metricsOf returns the chromosome's metrics triple, consulting the cache
 // and falling back to a decode. Not safe for concurrent calls on the same
 // chromosome; the GA's evaluation paths only reach it serially.
-func (e *evaluator) metricsOf(c *Chromosome) schedMetrics {
+func (e *evaluator) metricsOf(c *Chromosome) schedule.Metrics {
 	if c.hasMetr {
 		return c.metr
 	}
 	if c.decoded != nil {
-		c.metr, c.hasMetr = metricsFromSchedule(c.decoded), true
+		c.metr, c.hasMetr = c.decoded.Metrics(), true
 		return c.metr
 	}
 	var k uint64
@@ -487,7 +464,7 @@ func (e *evaluator) ensureMetrics(pop []*Chromosome) {
 			return false
 		}
 		if c.decoded != nil {
-			c.metr = metricsFromSchedule(c.decoded)
+			c.metr = c.decoded.Metrics()
 			c.hasMetr = true
 			return false
 		}
@@ -535,7 +512,7 @@ func (e *evaluator) evaluateInto(pop []*Chromosome, fit []float64) {
 	switch e.opt.Mode {
 	case MinMakespan:
 		for i, c := range pop {
-			fit[i] = -e.metricsOf(c).m0
+			fit[i] = -e.metricsOf(c).Makespan
 		}
 	case MaxSlack:
 		for i, c := range pop {
@@ -549,23 +526,23 @@ func (e *evaluator) evaluateInto(pop []*Chromosome, fit []float64) {
 		minFeasible := math.Inf(1)
 		for _, c := range pop {
 			m := e.metricsOf(c)
-			if slack := e.slackMet(m); m.m0 <= bound && slack < minFeasible {
+			if slack := e.slackMet(m); m.Makespan <= bound && slack < minFeasible {
 				minFeasible = slack
 			}
 		}
 		for i, c := range pop {
 			m := e.metricsOf(c)
 			switch {
-			case m.m0 <= bound:
+			case m.Makespan <= bound:
 				fit[i] = e.slackMet(m)
 			case math.IsInf(minFeasible, 1):
 				// No feasible individual this generation — a case the
 				// paper leaves unspecified. Rank purely by (inverse)
 				// constraint violation, shifted below any plausible
 				// feasible score.
-				fit[i] = -m.m0 / bound
+				fit[i] = -m.Makespan / bound
 			default:
-				fit[i] = minFeasible * bound / m.m0
+				fit[i] = minFeasible * bound / m.Makespan
 			}
 		}
 	default:

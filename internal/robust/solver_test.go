@@ -172,9 +172,9 @@ func TestOnGenerationObservesEveryGeneration(t *testing.T) {
 	opt.MaxGenerations = 10
 	var gens []int
 	var spans []float64
-	opt.OnGeneration = func(gen int, best *schedule.Schedule) {
+	opt.OnGeneration = func(gen int, best *Chromosome) {
 		gens = append(gens, gen)
-		spans = append(spans, best.Makespan())
+		spans = append(spans, decodeLent(t, w, best).Makespan())
 	}
 	if _, err := Solve(w, opt, rng.New(10)); err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestSolveWithIslands(t *testing.T) {
 		t.Fatal("island result below HEFT slack (seed lost)")
 	}
 	// Islands must be incompatible with the trace observer.
-	opt.OnGeneration = func(int, *schedule.Schedule) {}
+	opt.OnGeneration = func(int, *Chromosome) {}
 	if _, err := Solve(w, opt, rng.New(21)); err == nil {
 		t.Fatal("islands with OnGeneration accepted")
 	}

@@ -11,6 +11,7 @@ import (
 	"robsched/internal/ga"
 	"robsched/internal/obs"
 	"robsched/internal/rng"
+	"robsched/internal/schedule"
 )
 
 func solveStats(t *testing.T, workers int, islands int) ([]ga.GenStats, *obs.Snapshot, *Result) {
@@ -112,7 +113,7 @@ func TestCacheStatsCounters(t *testing.T) {
 	if _, ok := mc.lookup(ka, a); ok {
 		t.Fatal("lookup in empty cache must miss")
 	}
-	mc.insert(ka, a, schedMetrics{m0: 1})
+	mc.insert(ka, a, schedule.Metrics{Makespan: 1})
 	if _, ok := mc.lookup(ka, a); !ok {
 		t.Fatal("lookup after insert must hit")
 	}
@@ -125,7 +126,7 @@ func TestCacheStatsCounters(t *testing.T) {
 	// second lookup walks a non-empty bucket and must count a collision.
 	col := NewMetricsCache()
 	col.keyFn = func(*Chromosome) uint64 { return 7 }
-	col.insert(7, a, schedMetrics{m0: 1})
+	col.insert(7, a, schedule.Metrics{Makespan: 1})
 	if _, ok := col.lookup(7, b); ok {
 		t.Fatal("distinct genotype must not hit despite equal key")
 	}

@@ -18,11 +18,11 @@ import (
 // costs instead of re-deriving the whole adjacency structure.
 type arcSet struct {
 	n        int
-	succOff  []int32   // n+1 offsets into succTo/succData/sMirror
+	succOff  []int32   // n+1 offsets into succTo/sMirror
 	succTo   []int32   // data-arc targets, grouped by source
-	succData []float64 // data size of each succ arc
-	predOff  []int32   // n+1 offsets into predTo
+	predOff  []int32   // n+1 offsets into predTo/predData
 	predTo   []int32   // data-arc sources, grouped by target
+	predData []float64 // data size of each pred arc
 	sMirror  []int32   // succ arc k -> index of the same arc in the pred CSR
 }
 
@@ -36,9 +36,9 @@ func newArcSet(g *dag.Graph) *arcSet {
 		n:        n,
 		succOff:  make([]int32, n+1),
 		succTo:   make([]int32, nE),
-		succData: make([]float64, nE),
 		predOff:  make([]int32, n+1),
 		predTo:   make([]int32, nE),
+		predData: make([]float64, nE),
 		sMirror:  make([]int32, nE),
 	}
 	off := int32(0)
@@ -59,10 +59,10 @@ func newArcSet(g *dag.Graph) *arcSet {
 		for i, arc := range g.Successors(u) {
 			k := base + int32(i)
 			a.succTo[k] = int32(arc.To)
-			a.succData[k] = arc.Data
 			j := a.predOff[arc.To] + cur[arc.To]
 			cur[arc.To]++
 			a.predTo[j] = int32(u)
+			a.predData[j] = arc.Data
 			a.sMirror[k] = j
 		}
 	}

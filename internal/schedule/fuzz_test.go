@@ -34,7 +34,7 @@ func sameSchedule(t *testing.T, ctx string, got, want *Schedule) {
 		}
 	}
 	floatSlices := [][2][]float64{
-		{got.succComm, want.succComm}, {got.predComm, want.predComm}, {got.expDur, want.expDur},
+		{got.predComm, want.predComm}, {got.expDur, want.expDur},
 		{got.start, want.start}, {got.finish, want.finish}, {got.bl, want.bl}, {got.slack, want.slack},
 	}
 	for si, pair := range floatSlices {
@@ -59,15 +59,15 @@ func randomGenotype(w *platform.Workload, r *rng.Source) (order, proc []int) {
 	return order, proc
 }
 
-// FuzzDecodeReuse checks the arena reuse of DecodeInto: decoding genotype
-// A into a schedule and then genotype B into the same target must leave
-// the target bit-identical to a fresh Decode of B — every exported
-// analysis value (makespan, slacks, start times, bottom levels and a
-// MakespanInto re-evaluation) and every internal vector. A is drawn on a
-// workload of its own size, so the target's arenas are sometimes too
-// small (regrown) and sometimes larger than B needs (re-carved); with
-// same set, A and B share B's workload.
-func FuzzDecodeReuse(f *testing.F) {
+// FuzzMetrics checks the metrics kernel against a full decode. Genotype
+// A is evaluated on a workload of its own size first, so the pooled
+// scratch B reuses is sometimes too small (regrown) and sometimes larger
+// than B needs (re-carved); with same set, A and B share B's workload.
+// B's summary must be bit-identical to a fresh Decode of B. Then B is
+// corrupted once — two scheduling-string entries swapped (which may break
+// topological order) or one gene pushed out of range — and the kernel must
+// reject it exactly when Decode does, with the same error.
+func FuzzMetrics(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint64(3), false)
 	f.Add(uint64(7), uint64(11), uint64(5), true)
 	f.Add(uint64(42), uint64(13), uint64(40), false)
@@ -95,35 +95,39 @@ func FuzzDecodeReuse(f *testing.F) {
 		aOrder, aProc := randomGenotype(wa, r)
 		bOrder, bProc := randomGenotype(wb, r)
 
-		var got Schedule
-		if err := NewDecoder(wa).DecodeInto(&got, aOrder, aProc); err != nil {
-			t.Fatalf("decode of A failed: %v", err)
+		if _, err := NewDecoder(wa).Metrics(aOrder, aProc); err != nil {
+			t.Fatalf("metrics of A failed: %v", err)
 		}
 		dec := NewDecoder(wb)
-		if err := dec.DecodeInto(&got, bOrder, bProc); err != nil {
-			t.Fatalf("re-decode of B failed: %v", err)
+		got, err := dec.Metrics(bOrder, bProc)
+		if err != nil {
+			t.Fatalf("metrics of B failed: %v", err)
 		}
 		want, err := dec.Decode(bOrder, bProc)
 		if err != nil {
-			t.Fatalf("fresh decode of B failed: %v", err)
+			t.Fatalf("decode of B failed: %v", err)
 		}
+		sameMetrics(t, "B", got, want)
+
 		n := wb.N()
-		if got.Makespan() != want.Makespan() || got.AvgSlack() != want.AvgSlack() || got.MinSlack() != want.MinSlack() {
-			t.Fatalf("summary differs after reuse")
+		switch i, j := r.Intn(n), r.Intn(n); r.Intn(3) {
+		case 0:
+			bOrder[i], bOrder[j] = bOrder[j], bOrder[i]
+		case 1:
+			bOrder[i] = n + j
+		default:
+			bProc[i] = wb.M() + j
 		}
-		for v := 0; v < n; v++ {
-			if got.Start(v) != want.Start(v) || got.BottomLevel(v) != want.BottomLevel(v) || got.Slack(v) != want.Slack(v) {
-				t.Fatalf("task %d: analysis differs after reuse", v)
-			}
+		_, errMet := dec.Metrics(bOrder, bProc)
+		s, errDec := dec.Decode(bOrder, bProc)
+		switch {
+		case (errMet == nil) != (errDec == nil):
+			t.Fatalf("corrupted B: Metrics error %v, Decode error %v", errMet, errDec)
+		case errDec != nil && errMet.Error() != errDec.Error():
+			t.Fatalf("corrupted B: Metrics error %q, Decode error %q", errMet, errDec)
+		case errDec == nil:
+			m, _ := dec.Metrics(bOrder, bProc)
+			sameMetrics(t, "corrupted B", m, s)
 		}
-		dur := make([]float64, n)
-		for v := range dur {
-			dur[v] = wb.ExpectedAt(v, got.Proc(v)) * (1 + r.Float64())
-		}
-		st, fin := make([]float64, n), make([]float64, n)
-		if a, b := got.MakespanInto(dur, st, fin), want.MakespanInto(dur, st, fin); a != b {
-			t.Fatalf("MakespanInto differs after reuse: %v != %v", a, b)
-		}
-		sameSchedule(t, "reuse", &got, want)
 	})
 }

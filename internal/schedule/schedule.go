@@ -18,8 +18,8 @@
 // in one int32 arena and all float state in one float64 arena, so building
 // a schedule costs exactly two heap allocations beyond its struct and the
 // longest-path passes walk contiguous memory. See Decoder (decoder.go) for
-// the pooled fast path used by the GA's chromosome decoding, which can
-// re-decode into a caller-owned schedule without allocating.
+// the pooled fast path used by the GA's chromosome decoding, whose Metrics
+// evaluates a chromosome's fitness summary without building a schedule.
 package schedule
 
 import (
@@ -55,9 +55,9 @@ type Schedule struct {
 	dsucc []int32
 	dpred []int32
 
-	// Communication cost of each data arc, parallel to arcs.succTo and
-	// arcs.predTo; depends on the processor assignment.
-	succComm []float64
+	// Communication cost of each data arc, parallel to arcs.predTo (the
+	// successor direction reads it through arcs.sMirror); depends on the
+	// processor assignment.
 	predComm []float64
 
 	// Analysis under expected durations.
@@ -69,11 +69,6 @@ type Schedule struct {
 	slack    []float64 // σ_i = M - Bl(i) - Tl(i)
 	avgSlack float64
 	minSlack float64
-
-	// The arenas every slice above is carved from, kept so that decoding
-	// into this schedule again can reuse them (Decoder.DecodeInto).
-	ints   []int32
-	floats []float64
 }
 
 // New builds and validates a schedule from a task→processor map and
@@ -114,43 +109,20 @@ func New(w *platform.Workload, proc []int, procOrder [][]int) (*Schedule, error)
 			return nil, fmt.Errorf("schedule: task %d assigned to processor %d out of range [0,%d)", v, p, m)
 		}
 	}
-	s := new(Schedule)
 	sc := getScratch(n, m)
 	defer putScratch(sc)
 	sc.prepassFromLists(w, proc, procOrder)
-	err := buildInto(s, w, sc, nil)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	return buildWith(w, arcsFor(w.G), sc, false)
 }
 
 // FromOrder builds a schedule from a global scheduling string (a topological
 // order of the task graph) and a task→processor map; each processor executes
 // its tasks in their relative order within the scheduling string. This is
-// exactly the decoding of the paper's GA chromosome (Section 4.2.1).
+// exactly the decoding of the paper's GA chromosome (Section 4.2.1). Every
+// malformed genotype is rejected: a non-permutation, an out-of-range
+// processor, and any precedence inversion, on one processor or across two.
 func FromOrder(w *platform.Workload, order []int, proc []int) (*Schedule, error) {
-	s := new(Schedule)
-	if err := decodeOrder(s, w, order, proc); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// FromOrderTrusted is FromOrder for orders the caller already knows to be
-// topological, as the GA's operators guarantee by construction (Section
-// 4.2.5/4.2.6). Historically it skipped the O(V+E) precedence scan; since
-// the scheduling string became the stored topological order, precedence
-// validation is a byproduct of the communication-cost fill (one comparison
-// per arc, cheaper than the Kahn pass it replaced), so the trusted path now
-// rejects every inversion — including cross-processor ones — just like
-// FromOrder, at no extra cost.
-func FromOrderTrusted(w *platform.Workload, order []int, proc []int) (*Schedule, error) {
-	s := new(Schedule)
-	if err := decodeOrder(s, w, order, proc); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return decodeOrder(w, arcsFor(w.G), order, proc)
 }
 
 // forward runs one ASAP longest-path pass over the disjunctive graph with
@@ -184,28 +156,6 @@ func (s *Schedule) forward(dur, start, finish []float64) float64 {
 	return makespan
 }
 
-// backward fills bl with the bottom level of every task under the given
-// durations: Bl(v) = dur(v) + max over successors of (comm(v,u) + Bl(u)).
-func (s *Schedule) backward(dur, bl []float64) {
-	succOff, succTo, succComm := s.arcs.succOff, s.arcs.succTo, s.succComm
-	dsucc := s.dsucc
-	for i := len(s.topo) - 1; i >= 0; i-- {
-		v := int(s.topo[i])
-		best := 0.0
-		for k := succOff[v]; k < succOff[v+1]; k++ {
-			if c := succComm[k] + bl[succTo[k]]; c > best {
-				best = c
-			}
-		}
-		if u := dsucc[v]; u >= 0 {
-			if c := bl[u]; c > best {
-				best = c
-			}
-		}
-		bl[v] = dur[v] + best
-	}
-}
-
 // MakespanWith returns the makespan of the schedule when task v takes
 // dur[v] time units (durations already resolved for the assigned
 // processors), per Claim 3.2: every task starts as soon as it is ready.
@@ -228,20 +178,17 @@ func (s *Schedule) MakespanInto(dur, startBuf, finishBuf []float64) float64 {
 // which tasks *became* critical in a realization build on this.
 func (s *Schedule) SlackWith(dur []float64) (slack []float64, makespan float64) {
 	n := s.w.N()
-	start := make([]float64, n)
-	finish := make([]float64, n)
-	makespan = s.forward(dur, start, finish)
-	bl := make([]float64, n)
-	s.backward(dur, bl)
-	slack = make([]float64, n)
-	for v := 0; v < n; v++ {
-		sl := makespan - bl[v] - start[v]
-		if sl < 0 && sl > -1e-9 {
-			sl = 0
-		}
-		slack[v] = sl
+	a := analysis{
+		predComm: s.predComm,
+		dur:      dur,
+		start:    make([]float64, n),
+		finish:   make([]float64, n),
+		bl:       make([]float64, n),
+		slack:    make([]float64, n),
 	}
-	return slack, makespan
+	makespan = s.forward(dur, a.start, a.finish)
+	a.slackSweep(s.arcs, s.topo, s.proc, make([]int32, s.w.M()), makespan)
+	return a.slack, makespan
 }
 
 // Workload returns the workload the schedule was built for.
@@ -309,6 +256,12 @@ func (s *Schedule) AvgSlack() float64 { return s.avgSlack }
 // MinSlack returns the smallest task slack; an alternative, more
 // conservative robustness surrogate exposed as a fitness option.
 func (s *Schedule) MinSlack() float64 { return s.minSlack }
+
+// Metrics returns the schedule's expected-duration summary, the value
+// Decoder.Metrics computes for its chromosome without building it.
+func (s *Schedule) Metrics() Metrics {
+	return Metrics{Makespan: s.makespan, AvgSlack: s.avgSlack, MinSlack: s.minSlack}
+}
 
 // ExpectedDurations returns a copy of the expected duration of each task on
 // its assigned processor.

@@ -2,126 +2,10 @@ package sim
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"robsched/internal/rng"
 )
-
-func exactQuantile(xs []float64, p float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := p * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-func TestP2QuantilePanicsOnBadP(t *testing.T) {
-	for _, p := range []float64{0, 1, -0.5, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewP2Quantile(%g) did not panic", p)
-				}
-			}()
-			NewP2Quantile(p)
-		}()
-	}
-}
-
-func TestP2QuantileEmpty(t *testing.T) {
-	q := NewP2Quantile(0.5)
-	if !math.IsNaN(q.Value()) {
-		t.Fatal("empty estimator not NaN")
-	}
-	if q.N() != 0 {
-		t.Fatal("N != 0")
-	}
-}
-
-func TestP2QuantileSmallSamplesExact(t *testing.T) {
-	// With fewer than five observations the estimate is the exact sample
-	// quantile.
-	q := NewP2Quantile(0.5)
-	q.Add(5)
-	if q.Value() != 5 {
-		t.Fatalf("single value: %g", q.Value())
-	}
-	q.Add(1)
-	if q.Value() != 3 {
-		t.Fatalf("two values median: %g", q.Value())
-	}
-	q.Add(9)
-	if q.Value() != 5 {
-		t.Fatalf("three values median: %g", q.Value())
-	}
-}
-
-func TestP2QuantileUniform(t *testing.T) {
-	r := rng.New(1)
-	for _, p := range []float64{0.5, 0.9, 0.95, 0.99} {
-		q := NewP2Quantile(p)
-		var xs []float64
-		const n = 20000
-		for i := 0; i < n; i++ {
-			x := r.Uniform(0, 100)
-			xs = append(xs, x)
-			q.Add(x)
-		}
-		want := exactQuantile(xs, p)
-		if math.Abs(q.Value()-want) > 1.0 {
-			t.Errorf("p=%g: P² = %g, exact = %g", p, q.Value(), want)
-		}
-		if q.N() != n {
-			t.Errorf("N = %d", q.N())
-		}
-	}
-}
-
-func TestP2QuantileSkewed(t *testing.T) {
-	// Exponential data: heavy right tail stresses the marker adjustment.
-	r := rng.New(2)
-	q := NewP2Quantile(0.95)
-	var xs []float64
-	const n = 30000
-	for i := 0; i < n; i++ {
-		x := r.Exp(0.1)
-		xs = append(xs, x)
-		q.Add(x)
-	}
-	want := exactQuantile(xs, 0.95)
-	if math.Abs(q.Value()-want)/want > 0.05 {
-		t.Errorf("exponential p95: P² = %g, exact = %g", q.Value(), want)
-	}
-}
-
-func TestP2QuantileSortedInput(t *testing.T) {
-	// Monotone input is a classic stress case for online estimators.
-	q := NewP2Quantile(0.5)
-	const n = 10001
-	for i := 0; i < n; i++ {
-		q.Add(float64(i))
-	}
-	want := float64(n-1) / 2
-	if math.Abs(q.Value()-want)/want > 0.05 {
-		t.Errorf("sorted input median: P² = %g, want ~%g", q.Value(), want)
-	}
-}
-
-func TestP2QuantileConstantInput(t *testing.T) {
-	q := NewP2Quantile(0.9)
-	for i := 0; i < 100; i++ {
-		q.Add(7)
-	}
-	if q.Value() != 7 {
-		t.Fatalf("constant input: %g", q.Value())
-	}
-}
 
 func TestQuantileSortedConvention(t *testing.T) {
 	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
