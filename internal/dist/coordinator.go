@@ -36,10 +36,6 @@ type Coordinator struct {
 
 	// Timeout is the per-frame liveness deadline; see the type comment.
 	Timeout time.Duration
-	// NoCheckpoint disables the per-barrier island checkpoints (and with
-	// them, mid-solve recovery): a worker death then aborts the solve after
-	// the pool's own bookkeeping. Ablation and benchmarking knob.
-	NoCheckpoint bool
 
 	// PipelineDepth is the credit window of the sim dispatcher: how many
 	// realization ranges are kept in flight per worker connection. 1
@@ -117,26 +113,6 @@ func transient(err error) bool {
 
 // shardRange is one contiguous realization window.
 type shardRange struct{ base, width int }
-
-// partition cuts r realizations into at most n contiguous near-equal
-// windows in index order: the first r%n windows carry one extra
-// realization. With r < n the trailing empty windows are dropped.
-func partition(r, n int) []shardRange {
-	if n > r {
-		n = r
-	}
-	out := make([]shardRange, 0, n)
-	base := 0
-	for i := 0; i < n; i++ {
-		width := r / n
-		if i < r%n {
-			width++
-		}
-		out = append(out, shardRange{base, width})
-		base += width
-	}
-	return out
-}
 
 // partitionWidth cuts total realizations into contiguous windows of the
 // given width (the last one short) in index order.
@@ -386,12 +362,6 @@ func (d *simDispatch) fatal(err error) {
 	d.mu.Unlock()
 }
 
-func (d *simDispatch) hasWork() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.fatalErr == nil && (len(d.requeued) > 0 || d.next < len(d.ranges))
-}
-
 // run is one dispatch runner: check a worker out, pipeline ranges over it
 // until the work dries up or the connection dies, repeat. It arrives with
 // its first range pre-taken (first) and re-takes between connections, so a
@@ -563,53 +533,6 @@ func (d *simDispatch) recvRange(conn *Conn, ri int, seq uint64) error {
 	return nil
 }
 
-// dispatchSim runs the KSimJob exchange on one connection: the job frame
-// out; the sequence-echoing KAck, one vector per schedule and KSimDone
-// back. Protocol violations — including an ack for a different job, the
-// fingerprint of a duplicated or replayed frame — are worker-fatal
-// *WorkerErrors.
-func dispatchSim(conn *Conn, job SimJob, schedules int) ([][]float64, error) {
-	if err := conn.send(KSimJob, job); err != nil {
-		return nil, err
-	}
-	kind, payload, err := conn.recv()
-	if err != nil {
-		return nil, err
-	}
-	if kind != KAck {
-		return nil, conn.werr(kind, fmt.Errorf("dist: frame kind %d, want job ack", kind))
-	}
-	var ack Ack
-	if err := parseJSON(payload, &ack); err != nil {
-		return nil, conn.werr(KAck, err)
-	}
-	if ack.Seq != job.Seq {
-		return nil, conn.werr(KAck, fmt.Errorf("dist: job ack for seq %d, want %d", ack.Seq, job.Seq))
-	}
-	out := make([][]float64, schedules)
-	for j := 0; j < schedules; j++ {
-		kind, payload, err := conn.recv()
-		if err != nil {
-			return nil, err
-		}
-		if kind != KSimVec {
-			return nil, conn.werr(kind, fmt.Errorf("dist: frame kind %d, want sim vector", kind))
-		}
-		out[j] = make([]float64, len(job.Seeds))
-		if err := decodeVecInto(out[j], j, payload); err != nil {
-			return nil, conn.werr(KSimVec, err)
-		}
-	}
-	kind, _, err = conn.recv()
-	if err != nil {
-		return nil, err
-	}
-	if kind != KSimDone {
-		return nil, conn.werr(kind, fmt.Errorf("dist: frame kind %d, want sim done", kind))
-	}
-	return out, nil
-}
-
 // EvaluateAll is the scatter/gather form of sim.EvaluateAll: metrics
 // assembled from the sharded realization vectors, bit-identical to the
 // single-process call for any shard count.
@@ -679,11 +602,10 @@ type solveRun struct {
 // so the trajectory and the returned schedule are bit-identical for any
 // worker count.
 //
-// Unless NoCheckpoint is set, the coordinator pulls a full state checkpoint
-// of every island (population, fitnesses, best, stagnation counter, rng
-// stream position) at each barrier. A worker that dies mid-run is then no
-// longer fatal: its islands are restored from their last checkpoints onto a
-// fresh worker (respawned by the pool when armed) or a surviving one, the
+// The coordinator pulls a full state checkpoint of every island
+// (population, fitnesses, best, stagnation counter, rng stream position) at
+// each barrier. A worker that dies mid-run is therefore not fatal: its
+// islands are restored from their last checkpoints onto a fresh worker (respawned by the pool when armed) or a surviving one, the
 // barrier ops since the checkpoint are replayed, and the trajectory
 // continues bit-identically — the GA step is a pure function of the
 // checkpointed state. With the pool exhausted the islands fold into the
@@ -776,24 +698,24 @@ func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.
 	// Checkpoints overlap with dispatch: instead of a dedicated round trip
 	// after each barrier, the checkpoint pull is deferred and pipelined with
 	// the next round's epoch in one flush (see runOverlappedRound). The
-	// worker answers the checkpoint from its post-barrier state — byte-
-	// identical to the eager pull — before starting the epoch, so the
-	// recovery baseline is the same and a whole round trip per round
-	// disappears. The final round's checkpoint is simply dropped: there is
-	// nothing left to recover after the solve returns.
-	pendingCkpt := false
+	// worker answers the checkpoint from its post-barrier state before
+	// starting the epoch, so the baseline is the barrier state and a whole
+	// round trip per round disappears. The first round has no barrier to
+	// checkpoint (the seeds are its baseline), and the final round's
+	// checkpoint is simply dropped: there is nothing left to recover after
+	// the solve returns.
 	for gen < totalGens {
 		epoch := every
 		if gen+epoch > totalGens {
 			epoch = totalGens - gen
 		}
 		op := islandOp{epoch: &EpochReq{StartGen: gen, Gens: epoch}}
-		if pendingCkpt {
-			pendingCkpt = false
-			if err := s.runOverlappedRound(op); err != nil {
-				return nil, err
-			}
-		} else if err := s.runOp(op); err != nil {
+		if gen == 0 {
+			err = s.runOp(op)
+		} else {
+			err = s.runOverlappedRound(op)
+		}
+		if err != nil {
 			return nil, err
 		}
 		gen += epoch
@@ -809,9 +731,6 @@ func (c *Coordinator) Solve(w *platform.Workload, opt robust.Options, root *rng.
 			if err := s.runOp(islandOp{migrants: migrants}); err != nil {
 				return nil, err
 			}
-		}
-		if !c.NoCheckpoint {
-			pendingCkpt = true
 		}
 		if opt.Stagnation > 0 {
 			all := true
@@ -997,13 +916,13 @@ func (s *solveRun) runOp(op islandOp) error {
 			return s.localOp(h, op)
 		}
 		return s.remoteOp(h.conn, h, op)
-	}, false)
+	})
 }
 
 // eachHost runs fn on every host in parallel; hosts that fail in transport
-// are recovered. retry re-runs fn on the recovered host (for rounds whose
-// effect is not part of the oplog replay, i.e. checkpoints).
-func (s *solveRun) eachHost(name string, fn func(h *solveHost) error, retry bool) error {
+// are recovered, and recovery replays the oplog, which already holds the
+// op fn was running.
+func (s *solveRun) eachHost(name string, fn func(h *solveHost) error) error {
 	errs := make([]error, len(s.hosts))
 	var wg sync.WaitGroup
 	for j, h := range s.hosts {
@@ -1018,17 +937,14 @@ func (s *solveRun) eachHost(name string, fn func(h *solveHost) error, retry bool
 	}
 	wg.Wait()
 	for j, err := range errs {
-		for err != nil {
-			if !transient(err) {
-				return fmt.Errorf("dist: island %s failed: %w", name, err)
-			}
-			if rerr := s.recoverHost(s.hosts[j], err); rerr != nil {
-				return rerr
-			}
-			err = nil
-			if retry {
-				err = fn(s.hosts[j])
-			}
+		if err == nil {
+			continue
+		}
+		if !transient(err) {
+			return fmt.Errorf("dist: island %s failed: %w", name, err)
+		}
+		if err := s.recoverHost(s.hosts[j], err); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1078,82 +994,23 @@ func (s *solveRun) foldLocal(h *solveHost) error {
 	return nil
 }
 
-// checkpointRound pulls a fresh checkpoint of every island, and only once
-// every host has delivered one does it commit: the per-island baselines
-// advance and the oplog resets. A host dying mid-round is recovered (to the
-// *old* baseline plus replay) and asked again, so the invariant — baseline
-// plus oplog always reproduces the current state — holds at every instant.
-func (s *solveRun) checkpointRound() error {
-	if s.c.NoCheckpoint {
-		return nil
-	}
-	fresh := make([]*IslandCheckpoint, s.k)
-	var mu sync.Mutex
-	err := s.eachHost("checkpoint_rounds", func(h *solveHost) error {
-		var cks IslandCheckpoints
-		if h.local != nil {
-			cks = h.local.checkpoints()
-		} else {
-			seq := s.c.seq.Add(1)
-			h.conn.arm(s.c.Timeout, s.c.jobBudget(float64(s.sopt.PopSize*len(h.islands))))
-			if err := h.conn.send(KCheckpoint, CheckpointReq{Seq: seq}); err != nil {
-				return err
-			}
-			kind, payload, err := h.conn.recv()
-			if err != nil {
-				return err
-			}
-			if kind != KCheckpointState {
-				return h.conn.werr(kind, fmt.Errorf("dist: frame kind %d, want checkpoint state", kind))
-			}
-			if err := parseJSON(payload, &cks); err != nil {
-				return h.conn.werr(KCheckpointState, err)
-			}
-			if cks.Seq != seq {
-				return h.conn.werr(KCheckpointState, fmt.Errorf("dist: checkpoint for seq %d, want %d", cks.Seq, seq))
-			}
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for ci := range cks.Checkpoints {
-			ck := &cks.Checkpoints[ci]
-			if ck.Island < 0 || ck.Island >= s.k || !h.owns(ck.Island) {
-				return fmt.Errorf("dist: checkpoint for foreign island %d", ck.Island)
-			}
-			fresh[ck.Island] = ck
-		}
-		return nil
-	}, true)
-	if err != nil {
-		return err
-	}
-	for i, ck := range fresh {
-		if ck == nil {
-			return fmt.Errorf("dist: checkpoint round missed island %d", i)
-		}
-		s.ckpts[i] = ck
-	}
-	s.oplog = s.oplog[:0]
-	s.c.Obs.Counter("dist.checkpoints").Add(int64(s.k))
-	return nil
-}
-
 // runOverlappedRound runs one epoch barrier with the previous round's
 // deferred checkpoint piggybacked: KCheckpoint and KEpoch go out in a
 // single coalesced flush, the worker answers the checkpoint from its
 // post-barrier (pre-epoch) state and then runs the epoch — one round trip
-// where the eager scheme pays two. The op-log ordering makes the overlap
-// safe: the epoch op is appended before any frame goes out, so a host that
-// dies mid-round is recovered from the *old* baseline and replayed through
-// this epoch like any other op. The fresh baselines commit only when every
-// island delivered a checkpoint; a recovery mid-round leaves holes (the
-// recovered host replayed instead of answering), and the round falls back
-// to a standalone checkpointRound to advance the baseline.
+// where a separate checkpoint pull would pay two. The op-log ordering makes
+// the overlap safe: the epoch op is appended before any frame goes out, so
+// a host that dies mid-round is recovered from the *old* baseline and
+// replayed through this epoch like any other op.
 //
-// Commit is sound even when only some hosts delivered before another's
-// recovery: every delivered checkpoint is a valid pre-epoch state, and the
-// trimmed oplog (just this epoch) replays each of them to the current
-// state.
+// The fresh baselines commit only when every island delivered a
+// checkpoint. A recovery mid-round leaves holes (the recovered host
+// replayed instead of answering); the round then commits nothing — the old
+// baselines and the untrimmed oplog still reproduce the current state — and
+// the next round's piggybacked pull tries again. A host that delivered its
+// checkpoint and then died leaves no hole: the delivered checkpoint is a
+// valid pre-epoch state, and the trimmed oplog (just this epoch) replays it
+// to the current state.
 func (s *solveRun) runOverlappedRound(op islandOp) error {
 	s.oplog = append(s.oplog, op)
 	fresh := make([]*IslandCheckpoint, s.k)
@@ -1216,16 +1073,13 @@ func (s *solveRun) runOverlappedRound(op islandOp) error {
 			return err
 		}
 		return s.foldStates(h, conn, req.Seq)
-	}, false)
+	})
 	if err != nil {
 		return err
 	}
 	for _, ck := range fresh {
 		if ck == nil {
-			// A recovery interleaved with this round: the recovered host
-			// replayed from the old baseline instead of answering the
-			// piggybacked pull. Re-establish the invariant eagerly.
-			return s.checkpointRound()
+			return nil // a recovery interleaved with this round: keep the old baseline
 		}
 	}
 	for _, ck := range fresh {

@@ -416,26 +416,3 @@ func TestProcPoolRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestPartition(t *testing.T) {
-	cases := []struct {
-		r, n int
-		want []shardRange
-	}{
-		{10, 2, []shardRange{{0, 5}, {5, 5}}},
-		{101, 8, []shardRange{{0, 13}, {13, 13}, {26, 13}, {39, 13}, {52, 13}, {65, 12}, {77, 12}, {89, 12}}},
-		{3, 8, []shardRange{{0, 1}, {1, 1}, {2, 1}}},
-		{1, 1, []shardRange{{0, 1}}},
-	}
-	for _, tc := range cases {
-		got := partition(tc.r, tc.n)
-		if len(got) != len(tc.want) {
-			t.Fatalf("partition(%d, %d) = %v, want %v", tc.r, tc.n, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("partition(%d, %d) = %v, want %v", tc.r, tc.n, got, tc.want)
-			}
-		}
-	}
-}

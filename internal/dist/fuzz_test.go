@@ -25,7 +25,7 @@ func FuzzControlMessage(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFE, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		targets := []any{
-			&SimJob{}, &SimSetup{}, &SimRange{}, &Ack{}, &IslandInit{},
+			&SimSetup{}, &SimRange{}, &Ack{}, &IslandInit{},
 			&EpochReq{}, &MigrateReq{}, &IslandStates{}, &CheckpointReq{},
 			&IslandCheckpoints{}, &ErrMsg{},
 		}

@@ -3,7 +3,6 @@ package dist
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"io"
 	"testing"
 	"time"
@@ -92,105 +91,125 @@ func scriptedEndpoint(fn func(r io.Reader, w *io.PipeWriter)) Endpoint {
 	}
 }
 
-// TestHeartbeatExtendsDeadline: a worker that takes far longer than the
-// frame deadline but pulses heartbeats stays alive; the identical worker
-// without pulses is declared dead. This pins down exactly what a heartbeat
-// buys: it re-arms the per-frame deadline, nothing more.
-func TestHeartbeatExtendsDeadline(t *testing.T) {
-	respond := func(w *io.PipeWriter, job SimJob) {
-		bw := bufio.NewWriter(w)
-		_ = sendJSON(bw, KAck, Ack{Seq: job.Seq})
-		_ = wio.WriteFrame(bw, KSimVec, encodeVec(0, make([]float64, len(job.Seeds))))
-		_ = wio.WriteFrame(bw, KSimDone, nil)
-		_ = bw.Flush()
-	}
-	slowWorker := func(pulse bool) func(r io.Reader, w *io.PipeWriter) {
-		return func(r io.Reader, w *io.PipeWriter) {
-			_, payload, err := wio.ReadFrame(r, nil)
+// scriptedSimWorker serves the sim range protocol with a scripted compute
+// step in place of the real engine: it binds each KSimSetup, and for each
+// KSimRange runs compute (which may pulse heartbeats on w) and then answers
+// with an all-zero vector per schedule — unless compute reports the stream
+// gone. Other frames (Close's KShutdown) are drained until teardown.
+func scriptedSimWorker(compute func(w io.Writer) bool) func(r io.Reader, w *io.PipeWriter) {
+	return func(r io.Reader, w *io.PipeWriter) {
+		var su SimSetup
+		for {
+			kind, payload, err := wio.ReadFrame(r, nil)
 			if err != nil {
 				w.CloseWithError(err)
 				return
 			}
-			var job SimJob
-			if err := parseJSON(payload, &job); err != nil {
+			switch kind {
+			case KSimSetup:
+				err = parseJSON(payload, &su)
+			case KSimRange:
+				var req SimRange
+				if err = parseJSON(payload, &req); err != nil {
+					break
+				}
+				if !compute(w) {
+					return
+				}
+				bw := bufio.NewWriter(w)
+				_ = sendJSON(bw, KAck, Ack{Seq: req.Seq})
+				for j := range su.Schedules {
+					_ = wio.WriteFrame(bw, KSimVec, encodeVec(j, make([]float64, len(req.Seeds))))
+				}
+				_ = wio.WriteFrame(bw, KSimDone, nil)
+				err = bw.Flush()
+			}
+			if err != nil {
 				w.CloseWithError(err)
 				return
 			}
+		}
+	}
+}
+
+// scriptedRealize runs one strict request/response RealizeAll (credit
+// window 1, 100ms frame deadline) over a single scripted worker and returns
+// the coordinator's counters. The whole evaluation is one range, so its job
+// budget (Timeout × (1 + realizations×schedules/1000)) is the only bound on
+// the exchange besides the frame deadline.
+func scriptedRealize(t *testing.T, realizations int, compute func(w io.Writer) bool) *obs.Registry {
+	t.Helper()
+	w := testWorkload(t, 7, 20, 3, 3)
+	ss := testSchedules(t, w)
+	pool := NewPool([]Endpoint{scriptedEndpoint(scriptedSimWorker(compute))})
+	defer pool.Close()
+	reg := obs.NewRegistry()
+	pool.Obs = reg
+	coord := &Coordinator{
+		Pool: pool, Obs: reg,
+		Timeout:       100 * time.Millisecond,
+		PipelineDepth: 1,
+		RangeSize:     realizations,
+	}
+	opt := sim.Options{Realizations: realizations, Workers: 1}
+	if _, err := coord.RealizeAll(ss, opt, rng.New(9)); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// TestHeartbeatExtendsDeadline: a worker that takes far longer than the
+// frame deadline but pulses heartbeats stays alive; the identical worker
+// without pulses is declared dead. This pins down exactly what a heartbeat
+// buys: it re-arms the per-frame deadline, nothing more. The range is sized
+// so its job budget (1s) comfortably outlasts the 300ms compute.
+func TestHeartbeatExtendsDeadline(t *testing.T) {
+	slow := func(pulse bool) func(w io.Writer) bool {
+		return func(w io.Writer) bool {
 			for i := 0; i < 10; i++ { // 300ms of "compute", 3x the deadline
 				time.Sleep(30 * time.Millisecond)
 				if pulse {
 					if err := wio.WriteFrame(w, KHeartbeat, nil); err != nil {
-						return
+						return false
 					}
 				}
 			}
-			respond(w, job)
-			for { // drain further frames (e.g. Close's KShutdown) until torn down
-				if _, _, err := wio.ReadFrame(r, nil); err != nil {
-					w.CloseWithError(err)
-					return
-				}
-			}
+			return true
 		}
 	}
-	job := SimJob{Seq: 7, Seeds: []uint64{1, 2, 3}}
+	reg := scriptedRealize(t, 3000, slow(true))
+	if n := reg.Counter("dist.worker_deaths").Value(); n != 0 {
+		t.Fatalf("heartbeating slow worker declared dead (%d deaths)", n)
+	}
+	if n := reg.Counter("dist.heartbeats").Value(); n == 0 {
+		t.Error("no heartbeat reached the coordinator")
+	}
 
-	pool := NewPool([]Endpoint{scriptedEndpoint(slowWorker(true))})
-	defer pool.Close()
-	conn, err := pool.get()
-	if err != nil {
-		t.Fatal(err)
+	reg = scriptedRealize(t, 3000, slow(false))
+	if n := reg.Counter("dist.heartbeat_misses").Value(); n == 0 {
+		t.Fatal("silent slow worker did not miss its deadline")
 	}
-	conn.arm(100*time.Millisecond, 0)
-	if _, err := dispatchSim(conn, job, 1); err != nil {
-		t.Fatalf("heartbeating slow worker declared dead: %v", err)
-	}
-	pool.put(conn)
-
-	silent := NewPool([]Endpoint{scriptedEndpoint(slowWorker(false))})
-	defer silent.Close()
-	conn, err = silent.get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.arm(100*time.Millisecond, 0)
-	if _, err := dispatchSim(conn, job, 1); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("silent slow worker: %v, want ErrDeadline", err)
-	}
-	silent.discard(conn)
 }
 
 // TestJobBudgetBoundsHeartbeats: heartbeats re-arm the frame deadline but
 // never the whole-job budget, so a worker stuck in a loop that still pulses
 // is eventually declared dead too.
 func TestJobBudgetBoundsHeartbeats(t *testing.T) {
-	pool := NewPool([]Endpoint{scriptedEndpoint(func(r io.Reader, w *io.PipeWriter) {
-		if _, _, err := wio.ReadFrame(r, nil); err != nil {
-			w.CloseWithError(err)
-			return
-		}
+	start := time.Now()
+	reg := scriptedRealize(t, 32, func(w io.Writer) bool {
 		for { // pulse forever, never respond
 			time.Sleep(20 * time.Millisecond)
 			if err := wio.WriteFrame(w, KHeartbeat, nil); err != nil {
-				return
+				return false
 			}
 		}
-	})})
-	defer pool.Close()
-	conn, err := pool.get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.arm(100*time.Millisecond, 300*time.Millisecond)
-	start := time.Now()
-	_, err = dispatchSim(conn, SimJob{Seq: 1, Seeds: []uint64{1}}, 1)
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("immortal heartbeater: %v, want ErrDeadline", err)
-	}
+	})
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("job budget took %v to fire", d)
 	}
-	pool.discard(conn)
+	if n := reg.Counter("dist.heartbeat_misses").Value(); n == 0 {
+		t.Fatal("immortal heartbeater was not cut off by its job budget")
+	}
 }
 
 // TestWithHeartbeatPulses: the worker-side pulse generator emits heartbeat

@@ -1,28 +1,32 @@
 // Package dist is a coordinator/worker runtime that scatters the repo's two
-// embarrassingly-parallel workloads across local OS processes and gathers
-// the results over pipes:
+// embarrassingly-parallel workloads across worker processes — local
+// subprocesses over stdin/stdout pipes, or remote `robsched worker -listen`
+// servers over TCP — and gathers the results:
 //
 //   - realization sharding: the Monte-Carlo realizations of sim.EvaluateAll
-//     are partitioned into contiguous index ranges, one job per worker; each
-//     worker realizes its window with the coordinator-derived seed slice
-//     (sim.RealizeSeeded) and streams the raw makespan vectors back. The
-//     coordinator reassembles them in range order, so every metric —
-//     quantiles included — is bit-identical to the single-process run for
-//     any shard count.
+//     are partitioned into contiguous index ranges, several per worker. Each
+//     connection receives the workload and schedules once (KSimSetup), then
+//     a pipelined stream of tiny seed-window requests (KSimRange) under a
+//     credit window; each worker realizes its windows with the
+//     coordinator-derived seed slices (sim.RealizeSeeded) and streams the
+//     raw makespan vectors back. The coordinator places every window by its
+//     index, so every metric — quantiles included — is bit-identical to the
+//     single-process run for any shard count or arrival order.
 //
 //   - island sharding: the GA islands of robust.Solve are hosted by worker
 //     processes (ga.Island, one state machine shared with the in-process
 //     ga.RunIslands). The coordinator drives the epoch barriers and routes
 //     the ring migrants in (generation, island) order, so the trajectory —
 //     and the returned schedule — is bit-identical to the in-process island
-//     run for any worker count.
+//     run for any worker count. Each round's epoch request carries the
+//     previous barrier's checkpoint pull, the baseline a dead worker's
+//     islands are restored from.
 //
-// The wire format is the length-prefixed binary frame of internal/wio:
-// control messages are JSON payloads (Go's encoding/json round-trips the
-// uint64 seeds exactly into uint64 struct fields), makespan vectors are raw
-// little-endian float64 blocks. Workers are plain `robsched worker`
-// subprocesses speaking the protocol on stdin/stdout; stderr passes through
-// for crash visibility.
+// The wire format is the length-prefixed, checksummed binary frame of
+// internal/wio: control messages are JSON payloads (Go's encoding/json
+// round-trips the uint64 seeds exactly into uint64 struct fields), makespan
+// vectors are raw little-endian float64 blocks. Subprocess workers pass
+// stderr through for crash visibility.
 package dist
 
 import (
@@ -40,12 +44,14 @@ import (
 // only ever send response kinds. An unknown kind is a protocol error on
 // either side.
 const (
-	// KSimJob carries a SimJob (JSON): realize one seed window.
-	KSimJob byte = 1
-	// KSimVec carries one schedule's makespan vector for the current job as
-	// raw little-endian float64s, one frame per schedule in schedule order.
+	// Kind 1 is retired and stays unassigned, so a peer from an older
+	// build can never misread a new message as its self-contained sim job.
+
+	// KSimVec carries one schedule's makespan vector for the current range
+	// as raw little-endian float64s, one frame per schedule in schedule
+	// order.
 	KSimVec byte = 2
-	// KSimDone (empty payload) terminates a KSimJob response sequence.
+	// KSimDone (empty payload) terminates a KSimRange response sequence.
 	KSimDone byte = 3
 	// KErr carries an ErrMsg (JSON) in place of any normal response.
 	KErr byte = 4
@@ -80,63 +86,22 @@ const (
 	KCheckpoint byte = 13
 	// KCheckpointState carries an IslandCheckpoints (JSON).
 	KCheckpointState byte = 14
-	// KAck carries an Ack (JSON) echoing a SimJob's sequence number before
+	// KAck carries an Ack (JSON) echoing a SimRange's sequence number before
 	// the response vectors, so a response stream can never be attributed to
-	// the wrong job (a duplicated or replayed frame shows up as a sequence
+	// the wrong range (a duplicated or replayed frame shows up as a sequence
 	// mismatch instead of silently corrupting the gather).
 	KAck byte = 15
 	// KSimSetup carries a SimSetup (JSON): bind the workload and schedules
 	// once per connection, so the pipelined KSimRange requests that follow
 	// stay tiny (a seed window instead of a full problem document). No
-	// direct response — a failed setup surfaces as KErr when the first
-	// range references it.
+	// response frame of its own: a failed setup is answered with one KErr
+	// per range that references it.
 	KSimSetup byte = 16
 	// KSimRange carries a SimRange (JSON): realize one seed window against
 	// the connection's current setup. Response: KAck, one KSimVec per
-	// schedule, KSimDone — the same stream shape as KSimJob.
+	// schedule, KSimDone.
 	KSimRange byte = 17
 )
-
-// SimJob asks a worker to realize one contiguous window of a Monte-Carlo
-// evaluation. The seed window plus the global base index are the entire
-// stream-derivation state: sim.RealizeSeeded(…, Seeds, Base) in the worker
-// produces exactly the makespans the coordinator's full-range run would
-// produce at [Base, Base+len(Seeds)).
-type SimJob struct {
-	// Workload is the problem instance (workers are stateless between
-	// jobs, so every job is self-contained).
-	Workload wio.WorkloadJSON `json:"workload"`
-	// Schedules are evaluated under common random numbers, like
-	// sim.EvaluateAll.
-	Schedules []wio.ScheduleJSON `json:"schedules"`
-	// Base is the window's global realization index; it carries the
-	// antithetic parity across shard boundaries.
-	Base int `json:"base"`
-	// Seeds is the window of the coordinator's seed vector.
-	Seeds []uint64 `json:"seeds"`
-	// Antithetic mirrors odd global realizations (matching the seed
-	// pairing of the coordinator's sim.SeedVector call).
-	Antithetic bool `json:"antithetic,omitempty"`
-	// BatchSize and Workers are the worker-side engine knobs; neither can
-	// change a bit of the results.
-	BatchSize int `json:"batch_size,omitempty"`
-	Workers   int `json:"workers,omitempty"`
-	// Model, Corr, LoadCOV and ParetoShape select the scenario layer's
-	// duration model (sim.Options fields of the same names). All four are
-	// omitted at their zero values, so the default uniform-independent wire
-	// encoding is byte-identical to the pre-scenario protocol.
-	Model       sim.DurationModel `json:"model,omitempty"`
-	Corr        sim.Correlation   `json:"corr,omitempty"`
-	LoadCOV     float64           `json:"load_cov,omitempty"`
-	ParetoShape float64           `json:"pareto_shape,omitempty"`
-	// Seq is echoed back in the response's KAck frame; 0 disables the
-	// handshake (bare protocol tests).
-	Seq uint64 `json:"seq,omitempty"`
-	// HeartbeatMillis asks the worker to emit KHeartbeat frames at this
-	// interval while computing; 0 disables heartbeats entirely (the
-	// fault-free fast path pays nothing for the feature).
-	HeartbeatMillis int `json:"heartbeat_millis,omitempty"`
-}
 
 // Ack echoes a request's sequence number ahead of its response stream.
 type Ack struct {
@@ -171,13 +136,17 @@ type SimSetup struct {
 	ID        uint64             `json:"id"`
 	Workload  wio.WorkloadJSON   `json:"workload"`
 	Schedules []wio.ScheduleJSON `json:"schedules"`
-	// Antithetic, BatchSize and Workers mirror the SimJob fields: parity
-	// comes from each range's global Base, knobs never change result bits.
+	// Antithetic mirrors odd global realizations (matching the seed pairing
+	// of the coordinator's sim.SeedVector call); the parity comes from each
+	// range's global Base. BatchSize and Workers are the worker-side engine
+	// knobs; neither can change a bit of the results.
 	Antithetic bool `json:"antithetic,omitempty"`
 	BatchSize  int  `json:"batch_size,omitempty"`
 	Workers    int  `json:"workers,omitempty"`
-	// Model, Corr, LoadCOV and ParetoShape mirror the SimJob fields; zero
-	// values are omitted, keeping the default wire encoding unchanged.
+	// Model, Corr, LoadCOV and ParetoShape select the scenario layer's
+	// duration model (sim.Options fields of the same names). All four are
+	// omitted at their zero values, so the default uniform-independent wire
+	// encoding is byte-identical to the pre-scenario protocol.
 	Model       sim.DurationModel `json:"model,omitempty"`
 	Corr        sim.Correlation   `json:"corr,omitempty"`
 	LoadCOV     float64           `json:"load_cov,omitempty"`
@@ -186,9 +155,12 @@ type SimSetup struct {
 	HeartbeatMillis int `json:"heartbeat_millis,omitempty"`
 }
 
-// SimRange asks for one contiguous window of the setup's evaluation:
-// sim.RealizeSeeded(…, Seeds, Base) against the bound schedules. Seq is
-// echoed in the response's KAck, ordering the pipelined response streams.
+// SimRange asks for one contiguous window of the setup's evaluation. The
+// seed window plus the global base index are the entire stream-derivation
+// state: sim.RealizeSeeded(…, Seeds, Base) in the worker produces exactly
+// the makespans the coordinator's full-range run would produce at
+// [Base, Base+len(Seeds)). Seq is echoed in the response's KAck, ordering
+// the pipelined response streams.
 type SimRange struct {
 	Setup uint64   `json:"setup"`
 	Base  int      `json:"base"`

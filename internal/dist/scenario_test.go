@@ -1,7 +1,7 @@
 package dist
 
 // Scenario-layer wire tests: the duration-model options (Model, Corr,
-// LoadCOV, ParetoShape) must survive the SimSetup/SimJob protocol so a
+// LoadCOV, ParetoShape) must survive the SimSetup/SimRange protocol so a
 // sharded evaluation of a correlated or heavy-tailed scenario stays
 // bit-identical to the single-process run at every shard count — the same
 // contract TestShardedEvaluateAllBitIdentical pins for the uniform model.
@@ -60,28 +60,23 @@ func TestShardedScenarioBitIdentical(t *testing.T) {
 }
 
 // TestScenarioWireDefaultUnchanged pins the protocol compatibility claim:
-// a SimSetup/SimJob with default (uniform, independent) scenario options
-// marshals to JSON without any of the new scenario keys, so the default
-// wire bytes are identical to the pre-scenario protocol.
+// a SimSetup with default (uniform, independent) scenario options marshals
+// to JSON without any of the new scenario keys, so the default wire bytes
+// are identical to the pre-scenario protocol.
 func TestScenarioWireDefaultUnchanged(t *testing.T) {
-	for name, v := range map[string]any{
-		"SimSetup": SimSetup{ID: 1},
-		"SimJob":   SimJob{Base: 3, Seeds: []uint64{1, 2}},
-	} {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, key := range []string{"model", "corr", "load_cov", "pareto_shape"} {
-			if strings.Contains(string(b), key) {
-				t.Errorf("%s default encoding contains scenario key %q: %s", name, key, b)
-			}
+	b, err := json.Marshal(SimSetup{ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"model", "corr", "load_cov", "pareto_shape"} {
+		if strings.Contains(string(b), key) {
+			t.Errorf("SimSetup default encoding contains scenario key %q: %s", key, b)
 		}
 	}
 }
 
 // TestScenarioWireRoundTrip pins that non-default scenario options survive
-// a JSON round trip of both carrier messages.
+// a JSON round trip of their carrier message.
 func TestScenarioWireRoundTrip(t *testing.T) {
 	su := SimSetup{
 		ID:          9,
@@ -100,17 +95,5 @@ func TestScenarioWireRoundTrip(t *testing.T) {
 	}
 	if got.Model != su.Model || got.Corr != su.Corr || got.LoadCOV != su.LoadCOV || got.ParetoShape != su.ParetoShape {
 		t.Errorf("SimSetup round trip lost scenario fields: %+v", got)
-	}
-	job := SimJob{Model: sim.ModelLognormal, Corr: sim.CorrIndep, LoadCOV: 0.2}
-	b, err = json.Marshal(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotJob SimJob
-	if err := json.Unmarshal(b, &gotJob); err != nil {
-		t.Fatal(err)
-	}
-	if gotJob.Model != job.Model || gotJob.Corr != job.Corr || gotJob.LoadCOV != job.LoadCOV {
-		t.Errorf("SimJob round trip lost scenario fields: %+v", gotJob)
 	}
 }

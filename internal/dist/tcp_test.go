@@ -287,9 +287,6 @@ func TestSimDispatchLedger(t *testing.T) {
 	if _, ok := d.take(); ok {
 		t.Error("take issued work after a fatal error")
 	}
-	if d.hasWork() {
-		t.Error("hasWork true after a fatal error")
-	}
 }
 
 // TestPipelineLatencySmoke injects a 5ms round trip and compares strict

@@ -98,9 +98,11 @@ func withHeartbeat(fw *frameWriter, millis int, compute func() error) error {
 //
 // Job-level failures (a malformed workload, invalid options) are reported
 // back as KErr frames and the worker keeps serving; transport failures
-// terminate the loop with an error. The worker is stateless between sim
-// jobs; island hosting holds state from KIslandInit until KIslandFinish or
-// a replacing init.
+// terminate the loop with an error. Every request that expects a response
+// gets exactly one response sequence or one KErr; KSimSetup expects none, so
+// a failed setup is answered by each KSimRange that references it. A sim
+// setup holds from KSimSetup until the next one; island hosting holds state
+// from KIslandInit until KIslandFinish or a replacing init.
 //
 // Island requests carry sequence numbers: a request whose Seq matches the
 // last one processed is answered from the cached response without
@@ -162,10 +164,8 @@ func serveWorker(r io.Reader, w io.Writer, drain <-chan struct{}, interrupt func
 		switch kind {
 		case KShutdown:
 			return nil
-		case KSimJob:
-			jobErr = handleSimJob(fw, payload)
 		case KSimSetup:
-			setup, jobErr = newSimState(payload)
+			setup = newSimState(payload)
 		case KSimRange:
 			jobErr = handleSimRange(fw, setup, payload)
 		case KIslandInit:
@@ -203,57 +203,15 @@ func serveWorker(r io.Reader, w io.Writer, drain <-chan struct{}, interrupt func
 	}
 }
 
-// handleSimJob realizes one seed window and streams the makespan vectors
-// back: a KAck echoing the job's sequence number, one KSimVec frame per
-// schedule in schedule order, then KSimDone. Everything is computed before
-// the first response byte, so a failure never leaves a half-written
-// response sequence. Heartbeats pulse during the compute when the job asks
-// for them.
-func handleSimJob(fw *frameWriter, payload []byte) error {
-	var job SimJob
-	if err := parseJSON(payload, &job); err != nil {
-		return err
-	}
-	var mks [][]float64
-	err := withHeartbeat(fw, job.HeartbeatMillis, func() error {
-		wl, err := job.Workload.Build()
-		if err != nil {
-			return err
-		}
-		ss := make([]*schedule.Schedule, len(job.Schedules))
-		for i, doc := range job.Schedules {
-			if ss[i], err = doc.Bind(wl); err != nil {
-				return err
-			}
-		}
-		opt := sim.Options{
-			Antithetic: job.Antithetic, BatchSize: job.BatchSize, Workers: job.Workers,
-			Model: job.Model, Corr: job.Corr, LoadCOV: job.LoadCOV, ParetoShape: job.ParetoShape,
-		}
-		mks, err = sim.RealizeSeeded(ss, opt, job.Seeds, job.Base)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if err := fw.sendJSON(KAck, Ack{Seq: job.Seq}); err != nil {
-		return err
-	}
-	for j, v := range mks {
-		if err := fw.write(KSimVec, encodeVec(j, v)); err != nil {
-			return err
-		}
-	}
-	return fw.write(KSimDone, nil)
-}
-
 // simState is the per-connection sim setup bound by KSimSetup: the decoded
-// workload and schedules every subsequent KSimRange realizes against.
+// workload and schedules every subsequent KSimRange realizes against, or the
+// error that rejected the setup.
 type simState struct {
 	id       uint64
 	ss       []*schedule.Schedule
 	opt      sim.Options
 	hbMillis int
+	err      error
 }
 
 // setupError marks a range that referenced a setup this worker does not
@@ -265,23 +223,23 @@ func (e *setupError) Error() string {
 	return fmt.Sprintf("dist: no setup %d bound to this connection", e.id)
 }
 
-// newSimState decodes and binds a KSimSetup. No response frame: the setup
-// is validated here, and a bad one surfaces as the KErr this handler's
-// error becomes — which the coordinator receives in place of the first
-// range's ack.
-func newSimState(payload []byte) (*simState, error) {
+// newSimState decodes and binds a KSimSetup. It sends no response frame: a
+// bad setup is kept as its error, which every range that follows answers in
+// place of its response — one KErr per range, so the coordinator's response
+// accounting never sees a frame it did not ask for.
+func newSimState(payload []byte) *simState {
 	var su SimSetup
 	if err := parseJSON(payload, &su); err != nil {
-		return nil, err
+		return &simState{err: err}
 	}
 	wl, err := su.Workload.Build()
 	if err != nil {
-		return nil, err
+		return &simState{err: err}
 	}
 	ss := make([]*schedule.Schedule, len(su.Schedules))
 	for i, doc := range su.Schedules {
 		if ss[i], err = doc.Bind(wl); err != nil {
-			return nil, err
+			return &simState{err: err}
 		}
 	}
 	return &simState{
@@ -292,17 +250,22 @@ func newSimState(payload []byte) (*simState, error) {
 			Model: su.Model, Corr: su.Corr, LoadCOV: su.LoadCOV, ParetoShape: su.ParetoShape,
 		},
 		hbMillis: su.HeartbeatMillis,
-	}, nil
+	}
 }
 
 // handleSimRange realizes one pipelined seed window against the bound
 // setup and streams the response — KAck, one KSimVec per schedule, KSimDone
 // — in a single coalesced flush. Everything is computed before the first
-// response byte, so a failure never leaves a half-written sequence.
+// response byte, so a failure never leaves a half-written sequence. A range
+// after a rejected setup gets that setup's error (an undecodable setup has
+// no ID to match, so the rejection answers whatever range follows it).
 func handleSimRange(fw *frameWriter, setup *simState, payload []byte) error {
 	var req SimRange
 	if err := parseJSON(payload, &req); err != nil {
 		return err
+	}
+	if setup != nil && setup.err != nil {
+		return setup.err
 	}
 	if setup == nil || setup.id != req.Setup {
 		return &setupError{req.Setup}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"robsched/internal/obs"
 	"robsched/internal/rng"
 	"robsched/internal/robust"
 	"robsched/internal/sim"
@@ -59,8 +60,9 @@ func (d *protoDriver) recv() (byte, []byte) {
 	return kind, payload
 }
 
-// expectErr reads one frame and asserts it is a KErr mentioning substr.
-func (d *protoDriver) expectErr(substr string) {
+// expectErr reads one frame, asserts it is a KErr mentioning substr, and
+// returns its code.
+func (d *protoDriver) expectErr(substr string) string {
 	d.t.Helper()
 	kind, payload := d.recv()
 	if kind != KErr {
@@ -73,6 +75,7 @@ func (d *protoDriver) expectErr(substr string) {
 	if !strings.Contains(em.Error, substr) {
 		d.t.Fatalf("error %q does not mention %q", em.Error, substr)
 	}
+	return em.Code
 }
 
 // TestWorkerProtocolErrors walks the job-level failure paths: each bad
@@ -96,11 +99,25 @@ func TestWorkerProtocolErrors(t *testing.T) {
 	d.send(KIslandInit, IslandInit{})
 	d.expectErr("no islands")
 
-	d.sendRaw(KSimJob, []byte("###"))
+	// A setup sends no frame of its own; its failure answers the range
+	// that references it.
+	d.sendRaw(KSimSetup, []byte("###"))
+	d.send(KSimRange, SimRange{Setup: 1, Seeds: []uint64{1}})
 	d.expectErr("decoding")
 
-	d.send(KSimJob, SimJob{}) // empty workload document
+	d.send(KSimSetup, SimSetup{ID: 2}) // empty workload document
+	d.send(KSimRange, SimRange{Setup: 2, Seeds: []uint64{1}})
 	d.expectErr("tasks")
+	d.send(KSimRange, SimRange{Setup: 2, Seeds: []uint64{2}})
+	d.expectErr("tasks")
+
+	// A range with no setup on a fresh worker is coded "setup": the
+	// coordinator reassigns it instead of failing the job.
+	fresh := newProtoDriver(t)
+	fresh.send(KSimRange, SimRange{Setup: 3, Seeds: []uint64{1}})
+	if code := fresh.expectErr("no setup"); code != ErrCodeSetup {
+		t.Fatalf("setup-less range coded %q, want %q", code, ErrCodeSetup)
+	}
 
 	// Finish without islands is harmless (idempotent teardown).
 	d.sendRaw(KIslandFinish, nil)
@@ -167,32 +184,38 @@ func TestWorkerIslandConversation(t *testing.T) {
 	}
 }
 
-// TestWorkerErrorSurfacesToCaller: a job-level failure (here: a workload
-// whose schedules don't validate) comes back as *WorkerError and does not
-// kill the worker.
+// TestWorkerErrorSurfacesToCaller: a job-level failure (here: a setup whose
+// workload document is empty) comes back through the production range
+// dispatcher as a remote *WorkerError and does not kill the worker — nor
+// leave a stale frame on its connection: the next evaluation on the same
+// one-worker pool runs entirely remotely, with no death and no inline range.
 func TestWorkerErrorSurfacesToCaller(t *testing.T) {
 	pool := NewLocalPool(1)
 	defer pool.Close()
-	coord := &Coordinator{Pool: pool}
+	reg := obs.NewRegistry()
+	pool.Obs = reg
+	coord := &Coordinator{Pool: pool, Obs: reg}
 
-	conn, err := pool.get()
-	if err != nil {
-		t.Fatal(err)
+	d := &simDispatch{
+		c:         coord,
+		out:       [][]float64{make([]float64, 2)},
+		seeds:     []uint64{1, 2},
+		ranges:    partitionWidth(2, 1),
+		setup:     SimSetup{ID: coord.seq.Add(1)},
+		committed: make([]bool, 2),
 	}
-	if conn.ID() != 0 {
-		t.Fatalf("conn id %d", conn.ID())
-	}
-	_, err = dispatchSim(conn, SimJob{Seeds: []uint64{1}}, 0)
+	first, _ := d.take()
+	d.run(first)
 	var we *WorkerError
-	if !errors.As(err, &we) {
-		t.Fatalf("error %v, want *WorkerError", err)
+	if !errors.As(d.fatalErr, &we) {
+		t.Fatalf("error %v, want *WorkerError", d.fatalErr)
 	}
-	if we.Worker != 0 || we.Error() == "" {
+	if we.Worker != 0 || !we.Remote || we.Error() == "" {
 		t.Fatalf("worker error %+v", we)
 	}
-	pool.put(conn)
 
-	// The worker survived the bad job: a real evaluation still works.
+	// The worker survived the bad setup: a real evaluation still works, on
+	// the worker, with nothing left over from the failed job.
 	w := testWorkload(t, 4, 15, 2, 2)
 	ss := testSchedules(t, w)
 	opt := sim.Options{Realizations: 20, Workers: 1}
@@ -208,6 +231,12 @@ func TestWorkerErrorSurfacesToCaller(t *testing.T) {
 		if !metricsBitEqual(got[j], want[j]) {
 			t.Errorf("schedule %d: metrics differ after recovered job error", j)
 		}
+	}
+	if n := reg.Counter("dist.worker_deaths").Value(); n != 0 {
+		t.Errorf("healthy worker declared dead %d times after a rejected setup", n)
+	}
+	if n := reg.Counter("dist.inline_ranges").Value(); n != 0 {
+		t.Errorf("%d ranges fell back in-process after a rejected setup", n)
 	}
 }
 
