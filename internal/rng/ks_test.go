@@ -325,6 +325,41 @@ func TestQuantileMirrorExact(t *testing.T) {
 	}
 }
 
+// TestLogNormalQuantileEndpoints pins the clamps at both ends of [0, 1]:
+// Float64 returns 0 with probability 2^-53, and the antithetic mirror of
+// that draw is exactly 1. The pair (0, 1) must map to the symmetric pair
+// (2^-53, 1−2^-53), so both quantiles are finite and positive and sit
+// mirror-symmetric about the median exp(mu).
+func TestLogNormalQuantileEndpoints(t *testing.T) {
+	const lo, hi = 0x1p-53, 1 - 0x1p-53
+	if lo+hi != 1 {
+		t.Fatalf("clamped endpoints %x and %x are not mirrors", math.Float64bits(lo), math.Float64bits(hi))
+	}
+	for _, p := range [][2]float64{{0, 1}, {0.5, 0.8}, {-1.2, 2.5}} {
+		mu, sigma := p[0], p[1]
+		q0, q1 := LogNormalQuantile(mu, sigma, 0), LogNormalQuantile(mu, sigma, 1)
+		for _, v := range []float64{q0, q1} {
+			if v <= 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+				t.Fatalf("mu=%g sigma=%g: endpoint quantile %g, want finite positive", mu, sigma, v)
+			}
+		}
+		if want := LogNormalQuantile(mu, sigma, lo); q0 != want {
+			t.Errorf("mu=%g sigma=%g: Q(0) = %g, want Q(2^-53) = %g", mu, sigma, q0, want)
+		}
+		if want := LogNormalQuantile(mu, sigma, hi); q1 != want {
+			t.Errorf("mu=%g sigma=%g: Q(1) = %g, want Q(1-2^-53) = %g", mu, sigma, q1, want)
+		}
+		if q0 >= q1 {
+			t.Errorf("mu=%g sigma=%g: Q(0) = %g not below Q(1) = %g", mu, sigma, q0, q1)
+		}
+		// Mirror symmetry: the normal scores at 2^-53 and 1−2^-53 are
+		// negatives, so the log-quantiles are symmetric about mu.
+		if d := (math.Log(q0) - mu) + (math.Log(q1) - mu); math.Abs(d) > 1e-12*(1+math.Abs(mu)) {
+			t.Errorf("mu=%g sigma=%g: log Q(0) and log Q(1) not symmetric about mu (off by %g)", mu, sigma, d)
+		}
+	}
+}
+
 // TestIncompleteGammaReference sanity-checks the test's own CDF helper
 // against closed forms: P(1,x) = 1-e^-x and P(1/2, x) = erf(√x).
 func TestIncompleteGammaReference(t *testing.T) {

@@ -45,8 +45,18 @@ func splitMix64(x *uint64) uint64 {
 
 // New returns a Source seeded from the given 64-bit seed. Distinct seeds
 // yield streams that are, for all practical purposes, independent.
+//
+// New is small enough to inline, so a Source that does not outlive its
+// caller (the Monte-Carlo engine seeds one per realization) stays on the
+// stack instead of costing a heap allocation per call.
 func New(seed uint64) *Source {
-	var s Source
+	s := new(Source)
+	s.seed(seed)
+	return s
+}
+
+// seed expands a 64-bit seed into the xoshiro256++ state with SplitMix64.
+func (s *Source) seed(seed uint64) {
 	x := seed
 	for i := range s.s {
 		s.s[i] = splitMix64(&x)
@@ -57,7 +67,6 @@ func New(seed uint64) *Source {
 	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
 		s.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &s
 }
 
 // State is the complete serializable position of a Source: the xoshiro256++
@@ -302,11 +311,14 @@ func (r *Source) GammaMeanCOV(mean, cov float64) float64 {
 // so that the Monte-Carlo SoA sampler and the antithetic mirror can evaluate
 // the same variate at u and 1−u with bit-identical floating-point op order
 // (every Float64 output k/2^53 makes 1−u exactly representable). u must lie
-// in [0, 1); u == 0 is clamped to the smallest positive draw so the mirror at
-// u = 1 never produces +Inf.
+// in [0, 1]. Both ends are clamped one draw inward: u ≤ 0 to 2^-53 and
+// u ≥ 1 to 1−2^-53, so the draw 0 and its antithetic mirror 1 map to the
+// symmetric pair (2^-53, 1−2^-53) and neither produces 0 or +Inf.
 func LogNormalQuantile(mu, sigma, u float64) float64 {
 	if u <= 0 {
 		u = 0x1p-53
+	} else if u >= 1 {
+		u = 1 - 0x1p-53
 	}
 	return math.Exp(mu + sigma*(math.Sqrt2*math.Erfinv(2*u-1)))
 }

@@ -14,6 +14,7 @@ import (
 	"math"
 	"testing"
 
+	"robsched/internal/platform"
 	"robsched/internal/rng"
 	"robsched/internal/schedule"
 )
@@ -120,6 +121,27 @@ func TestModelWorkerBatchInvariance(t *testing.T) {
 	}
 }
 
+// coveringSchedules returns m schedules of w, the p-th running every task on
+// processor p: together they read every (task, processor) pair, so a sampler
+// built over them transforms the full duration matrix.
+func coveringSchedules(tb testing.TB, w *platform.Workload) []*schedule.Schedule {
+	tb.Helper()
+	order := w.G.TopologicalOrder()
+	ss := make([]*schedule.Schedule, w.M())
+	for p := range ss {
+		proc := make([]int, w.N())
+		for t := range proc {
+			proc[t] = p
+		}
+		s, err := schedule.FromOrder(w, order, proc)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ss[p] = s
+	}
+	return ss
+}
+
 func withWB(o Options, workers, batch int) Options {
 	o.Workers = workers
 	o.BatchSize = batch
@@ -135,7 +157,7 @@ func TestGeneralMirrorExact(t *testing.T) {
 	w := testWorkload(t, 12, 15, 3, 3)
 	n, m := w.N(), w.M()
 	for ci, opt := range modelCases() {
-		sp := newSampler(w, opt)
+		sp := newSampler(w, coveringSchedules(t, w), opt)
 		if !sp.general() {
 			t.Fatalf("case %d: expected general sampler", ci)
 		}
@@ -200,7 +222,7 @@ func TestGeneralMirrorExact(t *testing.T) {
 // (hi−b)²/12, to floating-point accuracy.
 func TestLognormalMomentMatch(t *testing.T) {
 	w := testWorkload(t, 13, 20, 4, 3)
-	sp := newSampler(w, Options{Model: ModelLognormal})
+	sp := newSampler(w, coveringSchedules(t, w), Options{Model: ModelLognormal})
 	for k := range sp.lo {
 		if sp.width[k] <= 0 {
 			continue
@@ -228,7 +250,7 @@ func TestEqualMarginals(t *testing.T) {
 	n, m := w.N(), w.M()
 	const N = 30000
 	moments := func(corr Correlation) (mean, variance float64) {
-		sp := newSampler(w, Options{Corr: corr, LoadCOV: 0.5})
+		sp := newSampler(w, coveringSchedules(t, w), Options{Corr: corr, LoadCOV: 0.5})
 		u := make([]float64, sp.scratch())
 		load := make([]float64, m)
 		dst := make([]float64, n*m)

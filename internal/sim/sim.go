@@ -5,12 +5,18 @@
 // (Definition 3.6), and R2, the inverse schedule miss rate (Definition 3.7).
 //
 // Realizations are processed in lane-batched groups: a worker samples
-// Options.BatchSize duration matrices up front, gathers each schedule's
+// Options.BatchSize realizations up front, gathers each schedule's
 // assigned durations into lane-major buffers, and runs one
 // structure-of-arrays forward longest-path sweep over the schedule's
 // precomputed CSR disjunctive graph that advances all lanes per arc
 // (schedule.MakespanBatchInto). Batches fan out across Options.Workers
 // goroutines with per-realization deterministic RNG streams.
+//
+// Each realization draws the uniform block of the full n×m duration matrix,
+// so the random stream is a function of the workload shape alone. The
+// inverse-CDF transforms of the non-uniform models run only for the
+// (task, processor) pairs some evaluated schedule reads; the paper's uniform
+// model, whose transform is one multiply-add, fills every entry.
 //
 // Every metric — including the P50/P95/P99 quantiles, which are exact order
 // statistics of the retained per-realization makespan vector — is computed
@@ -380,21 +386,28 @@ func (a accum) metrics(m0 float64) Metrics {
 // pure RNG and multiply-add work with no matrix lookups. A non-positive
 // width marks a degenerate pair (UL == 1), which consumes no random draw —
 // exactly like Workload.SampleDuration, so the streams stay bit-identical.
+//
+// Every realization draws one uniform per non-degenerate pair. The general
+// path transforms and stores only the pairs in read, the union of the
+// evaluated schedules' assignments; the uniform path fills every entry.
 type sampler struct {
 	lo    []float64 // b_ij (row-major n×m)
 	width []float64 // hi − b, hi = (2·UL−1)·b
 	sum   []float64 // b + hi, the antithetic mirror constant
 	draws int       // non-degenerate pairs == duration uniforms per realization
+	read  []bool    // pair (t, p) is some schedule's assignment of t
 
 	// Model extension. The legacy fields above fully describe the uniform
 	// model; the general path (any non-default Model/Corr) additionally
-	// uses the tables below. mu/sigma are the lognormal parameters matched
-	// per pair to the uniform model's mean and variance; alpha is the
-	// bounded-Pareto tail index over the same support [lo, lo+width].
+	// uses the tables below, filled for read pairs only. mu/sigma are the
+	// lognormal parameters matched per pair to the uniform model's mean and
+	// variance; paretoK and invAlpha are the bounded-Pareto constants of
+	// tail index α over the same support [lo, lo+width] (see pareto).
 	model     DurationModel
 	corr      Correlation
 	mu, sigma []float64
-	alpha     float64
+	paretoK   []float64
+	invAlpha  float64
 	// Mean-1 lognormal load-factor parameters: sigma² = ln(1+LoadCOV²),
 	// mu = −sigma²/2.
 	loadMu, loadSigma float64
@@ -413,16 +426,23 @@ func (sp *sampler) general() bool {
 // provide: load-factor draws first, then one draw per non-degenerate pair.
 func (sp *sampler) scratch() int { return sp.loadDraws + sp.draws }
 
-func newSampler(w *platform.Workload, opt Options) sampler {
+// newSampler builds the sampling tables for w, whose read mask is the union
+// of the schedules' assignments.
+func newSampler(w *platform.Workload, ss []*schedule.Schedule, opt Options) sampler {
 	n, m := w.N(), w.M()
 	sp := sampler{
 		lo:    make([]float64, n*m),
 		width: make([]float64, n*m),
 		sum:   make([]float64, n*m),
+		read:  make([]bool, n*m),
 		model: opt.Model,
 		corr:  opt.Corr,
-		alpha: opt.ParetoShape,
 		m:     m,
+	}
+	for _, s := range ss {
+		for t := 0; t < n; t++ {
+			sp.read[t*m+s.Proc(t)] = true
+		}
 	}
 	for t := 0; t < n; t++ {
 		for p := 0; p < m; p++ {
@@ -444,7 +464,7 @@ func newSampler(w *platform.Workload, opt Options) sampler {
 		sp.mu = make([]float64, n*m)
 		sp.sigma = make([]float64, n*m)
 		for k := range sp.lo {
-			if sp.width[k] <= 0 {
+			if sp.width[k] <= 0 || !sp.read[k] {
 				continue
 			}
 			mean := sp.sum[k] / 2
@@ -452,6 +472,16 @@ func newSampler(w *platform.Workload, opt Options) sampler {
 			s2 := math.Log(1 + v/(mean*mean))
 			sp.mu[k] = math.Log(mean) - s2/2
 			sp.sigma[k] = math.Sqrt(s2)
+		}
+	}
+	if opt.Model == ModelBoundedPareto {
+		sp.paretoK = make([]float64, n*m)
+		sp.invAlpha = 1 / opt.ParetoShape
+		for k, lo := range sp.lo {
+			if sp.width[k] <= 0 || !sp.read[k] {
+				continue
+			}
+			sp.paretoK[k] = 1 - math.Pow(lo/(lo+sp.width[k]), opt.ParetoShape)
 		}
 	}
 	if opt.Corr != CorrNone {
@@ -511,7 +541,14 @@ func (sp *sampler) sampleMirroredInto(dst []float64, stride, lane int, r *rng.So
 // realization consumes sp.scratch() uniforms as a single rng.Float64s block —
 // load-factor draws first, then one draw per non-degenerate pair — so the
 // draw schedule is a pure function of the workload shape and the realization
-// seed, independent of worker count, batch width and shard boundaries.
+// seed, independent of worker count, batch width, shard boundaries and the
+// schedules evaluated.
+//
+// Only read pairs are transformed and stored; an unread pair's uniform is
+// skipped, and so is its CorrIndep load factor. Each stored entry is the
+// same pure function of the same uniform whatever the read mask, so a
+// schedule's durations do not depend on which other schedules share the
+// call.
 //
 // The antithetic mirror is uniform across every model: the mirrored
 // realization evaluates the identical transforms at 1−u for every uniform in
@@ -537,6 +574,12 @@ func (sp *sampler) sampleGeneralInto(dst []float64, stride, lane int, r *rng.Sou
 	}
 	j := sp.loadDraws
 	for k, w := range sp.width {
+		if !sp.read[k] {
+			if w > 0 {
+				j++
+			}
+			continue
+		}
 		v := sp.lo[k]
 		if w > 0 {
 			uu := u[j]
@@ -547,7 +590,7 @@ func (sp *sampler) sampleGeneralInto(dst []float64, stride, lane int, r *rng.Sou
 			case ModelLognormal:
 				v = rng.LogNormalQuantile(sp.mu[k], sp.sigma[k], uu)
 			case ModelBoundedPareto:
-				v = rng.BoundedParetoQuantile(sp.lo[k], sp.lo[k]+w, sp.alpha, uu)
+				v = sp.pareto(k, uu)
 			}
 		}
 		// The load factor multiplies every entry on the processor —
@@ -561,6 +604,14 @@ func (sp *sampler) sampleGeneralInto(dst []float64, stride, lane int, r *rng.Sou
 		}
 		dst[k*stride+lane] = v
 	}
+}
+
+// pareto is the bounded-Pareto quantile of pair k at u. paretoK[k] =
+// 1−(lo/hi)^α and invAlpha = 1/α are hoisted out of the draw; they are the
+// float64 values rng.BoundedParetoQuantile(lo, hi = lo+width, α, u)
+// recomputes per call, so the result is bit-equal to it.
+func (sp *sampler) pareto(k int, u float64) float64 {
+	return sp.lo[k] / math.Pow(1-u*sp.paretoK[k], sp.invAlpha)
 }
 
 // SeedVector derives the per-realization RNG seed vector RealizeAll uses:
@@ -587,8 +638,9 @@ func SeedVector(realizations int, antithetic bool, root *rng.Source) []uint64 {
 
 // RealizeAll is the shared Monte-Carlo engine: it runs opt.Realizations
 // sampled executions of every schedule (all of the same workload, under
-// common random numbers — each realization samples the full n×m duration
-// matrix once and applies it to every schedule) and returns the realized
+// common random numbers — each realization draws the uniforms of the full
+// n×m duration matrix once, transforms the entries the schedules read and
+// applies them to every schedule) and returns the realized
 // makespans indexed [schedule][realization]. Evaluate, EvaluateAll, CVaR
 // and DeadlineForConfidence are all views over this one engine.
 //
@@ -636,7 +688,7 @@ func RealizeSeeded(ss []*schedule.Schedule, opt Options, seeds []uint64, base in
 	R := len(seeds)
 	B := opt.batch(R)
 	buildDone := opt.Trace.Scope("sim").Span("build_sampler")
-	sp := newSampler(w, opt)
+	sp := newSampler(w, ss, opt)
 	buildDone()
 	mks := make([][]float64, len(ss))
 	arena := make([]float64, len(ss)*R)
@@ -738,8 +790,9 @@ func Evaluate(s *schedule.Schedule, opt Options, root *rng.Source) (Metrics, err
 }
 
 // EvaluateAll evaluates several schedules of the *same workload* under
-// common random numbers: each realization samples the full n×m duration
-// matrix once and applies it to every schedule, which is how the paper
+// common random numbers: each realization draws the uniforms of the full
+// n×m duration matrix once, transforms the entries the schedules read and
+// applies them to every schedule, which is how the paper
 // compares the GA's schedules against HEFT's on identical environments
 // (and is the variance-reduction friendly way to estimate improvements).
 //
